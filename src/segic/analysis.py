@@ -206,16 +206,25 @@ def is_valued_se(game: GameSpec, p, grid_step: float, tol: float = 1e-9) -> bool
         lo = min(floors[i], game.p_max)
         candidates = np.arange(lo, game.p_max, grid_step)
         candidates = np.append(candidates, game.p_max)
-        best = min(
-            cost_ratio(game, i, _with_power(p, i, float(c))) for c in candidates
-        )
+        profiles = np.tile(p, (candidates.size, 1))
+        profiles[:, i] = candidates
+        best = float(np.min(_cost_ratios(game, i, profiles)))
         mine = cost_ratio(game, i, p)
         if mine > best + tol * max(1.0, best):
             return False
     return True
 
 
-def _with_power(p: np.ndarray, i: int, value: float) -> np.ndarray:
-    q = p.copy()
-    q[i] = value
-    return q
+def _cost_ratios(game: GameSpec, i: int, profiles: np.ndarray) -> np.ndarray:
+    """cost_ratio(game, i, q) for every row q of profiles, to the last bit.
+
+    The stacked matmul takes the same vector-times-matrix route as
+    `interference` does for a single profile; one matrix product over all
+    rows may round differently for n >= 4.
+    """
+    stacked = np.matmul(profiles[:, np.newaxis, :], game.attenuation)[:, 0, :]
+    inter = (stacked - profiles + game.noise)[:, i]
+    own = profiles[:, i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = 0.5 * np.log2(1.0 + own / inter)
+        return np.where(own == 0.0, 2.0 * np.log(2.0) * inter, own / u)

@@ -64,9 +64,11 @@ def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
     """Summed ratio of the worst efficient SE over the best valued SE.
 
     Candidate equilibria come from the oracle's grid scan and are refined
-    to exact fixed points before comparison, so the value genuinely tests
-    whether the two equilibrium notions coincide (it is 1 exactly when the
-    refined candidate sets collapse to a single point).
+    by satisfaction response before comparison. That response, clamped at
+    p_max, is a standard interference function (Yates, IEEE JSAC 1995), so
+    from every seed it converges to the same fixed point, the ESE. Both
+    refined sets therefore collapse to the ESE and the value is 1 by
+    construction: it does not test whether the two notions coincide.
     """
     require_nonempty(oracle)
     ese_seeds = oracle.ese_candidates

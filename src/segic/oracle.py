@@ -1,8 +1,21 @@
-"""Brute-force grid verifier for the SE analysis.
+"""Grid verifier for the SE analysis.
 
-Enumerates the uniform power grid {0, step, ..., p_max}^n and classifies
-every point independently of the closed forms, so the analytic results can
-be cross-checked against exhaustive search.
+Classifies the uniform power grid {0, step, ..., p_max}^n independently of
+the closed forms, so the analytic results can be cross-checked against an
+exhaustive search.
+
+Every SE constraint is linear, so for fixed p_1..p_{n-1} (a slice) the SE
+values of p_n form one interval: player n's floor bounds it below and the
+other players' rearranged inequalities bound it above. The scan walks the
+m^(n-1) slices, places each interval's ends from those inequalities, and
+runs the per-point predicate `_classify` only on narrow bands of rows
+around them. ESE and VSE candidates can only sit at the low end of an
+interval, inside the lower band: above it, player n can step down one grid
+step, stay satisfied and lower its ratio. A slice is classified by
+`_classify` on every row when rounding could blur its ends by a grid row,
+when that ratio drop is not safely above SAT_TOL, or when its bands
+disagree with the predicted ends. The result is the same, bit for bit, as
+classifying every grid point.
 """
 
 from __future__ import annotations
@@ -15,7 +28,6 @@ from .model import GameSpec, SAT_TOL
 from .analysis import NoEquilibriumError
 
 MAX_GRID_POINTS = 10**8
-_CHUNK = 1 << 20
 
 
 class ResourceLimitError(RuntimeError):
@@ -67,68 +79,66 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
             f"grid of {total} points exceeds the {MAX_GRID_POINTS} point budget"
         )
 
-    n = game.n
-    gfac = game.gamma_factor
-    att = game.attenuation
-    shape = (m,) * n
+    prefix = _slices(axis, game.n - 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = _slice_ends(game, axis, prefix, grid_step)  # non-finite ends fall back
+    while True:
+        s, k, banded = _rows(ends, m)
+        s_band, k_band = s[banded], k[banded]
+        P = _points(prefix, axis, s_band, k_band)
+        sat, se, ese, vse = _classify(game, P, grid_step)
+        wrong = _contradicted(ends, sat, s_band, k_band)
+        if wrong.size == 0:
+            break
+        ends.fallback[wrong] = True
 
-    se_chunks = []
-    ese_chunks = []
-    vse_chunks = []
-
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        coords = np.unravel_index(idx, shape)
-        P = np.stack([axis[c] for c in coords], axis=1)
-
-        inter = P @ att - P + game.noise  # interference + noise per receiver
-        floors = gfac * inter
-        sat = P >= floors - SAT_TOL
-        se = np.all(sat, axis=1)
-        if not np.any(se):
-            continue
-        P = P[se]
-        inter = inter[se]
-        floors = floors[se]
-        se_chunks.append(P)
-
-        ese = np.all(P <= floors + grid_step + SAT_TOL, axis=1)
-        ese_chunks.append(P[ese])
-
-        vse = np.ones(P.shape[0], dtype=bool)
-        for i in range(n):
-            ratio_here = _ratio(P[:, i], inter[:, i])
-            for move in (-grid_step, grid_step):
-                q = P[:, i] + move
-                ok = (q >= -SAT_TOL) & (q <= game.p_max + SAT_TOL)
-                ok &= q >= floors[:, i] - SAT_TOL  # deviation must stay satisfying
-                if not np.any(ok):
-                    continue
-                better = np.zeros_like(ok)
-                better[ok] = _ratio(q[ok], inter[ok, i]) < ratio_here[ok] - SAT_TOL
-                vse &= ~better
-        vse_chunks.append(P[vse])
-
-    se_points = _merge(se_chunks, n)
-    ese_candidates = _merge(ese_chunks, n)
-    vse_candidates = _merge(vse_chunks, n)
-
-    if se_points.shape[0]:
-        sums = se_points.sum(axis=1)
-        g_best = se_points[int(np.argmin(sums))]
-        g_worst = se_points[int(np.argmax(sums))]
-    else:
-        g_best = None
-        g_worst = None
-
+    keep = ~banded
+    keep[banded] = se
+    s = s[keep]
+    se_points = _points(prefix, axis, s, k[keep])
+    g_best, g_worst = _extremes(se_points, s)
     return OracleResult(
         grid_step=float(grid_step),
         se_points=se_points,
-        ese_candidates=ese_candidates,
-        vse_candidates=vse_candidates,
+        ese_candidates=P[ese],
+        vse_candidates=P[vse],
         g_best=g_best,
         g_worst=g_worst,
     )
+
+
+def _classify(game: GameSpec, P: np.ndarray, grid_step: float):
+    """The per-point SE predicate and candidate tests on the rows of P.
+
+    Returns the per-player satisfaction matrix and the SE, ESE-candidate and
+    VSE-candidate masks over the rows.
+    """
+    inter = P @ game.attenuation - P + game.noise  # interference + noise per receiver
+    floors = game.gamma_factor * inter
+    sat = P >= floors - SAT_TOL
+    se = np.all(sat, axis=1)
+    ese = np.zeros_like(se)
+    vse = np.zeros_like(se)
+    P = P[se]
+    inter = inter[se]
+    floors = floors[se]
+
+    ese[se] = np.all(P <= floors + grid_step + SAT_TOL, axis=1)
+
+    valued = np.ones(P.shape[0], dtype=bool)
+    for i in range(game.n):
+        ratio_here = _ratio(P[:, i], inter[:, i])
+        for move in (-grid_step, grid_step):
+            q = P[:, i] + move
+            ok = (q >= -SAT_TOL) & (q <= game.p_max + SAT_TOL)
+            ok &= q >= floors[:, i] - SAT_TOL  # deviation must stay satisfying
+            if not np.any(ok):
+                continue
+            better = np.zeros_like(ok)
+            better[ok] = _ratio(q[ok], inter[ok, i]) < ratio_here[ok] - SAT_TOL
+            valued &= ~better
+    vse[se] = valued
+    return sat, se, ese, vse
 
 
 def _ratio(p: np.ndarray, inter: np.ndarray) -> np.ndarray:
@@ -138,12 +148,175 @@ def _ratio(p: np.ndarray, inter: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge(chunks: list[np.ndarray], n: int) -> np.ndarray:
-    if not chunks:
-        return np.empty((0, n))
-    pts = np.concatenate(chunks, axis=0)
-    order = np.lexsort(pts.T[::-1])  # lexicographic by p1, then p2, ...
-    return pts[order]
+def _slices(axis: np.ndarray, d: int) -> np.ndarray:
+    """All (p_1..p_d) grid tuples in lexicographic order, one row each."""
+    m = axis.size
+    cols = [np.tile(np.repeat(axis, m ** (d - 1 - j)), m**j) for j in range(d)]
+    return np.stack(cols, axis=1) if d else np.empty((1, 0))
+
+
+def _points(prefix: np.ndarray, axis: np.ndarray, s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Grid points (prefix[s], axis[k]) as rows of one C-ordered array."""
+    P = np.empty((s.size, prefix.shape[1] + 1))
+    for j in range(prefix.shape[1]):
+        P[:, j] = prefix[:, j][s]  # column by column: a 1-D gather is several times faster
+    P[:, -1] = axis[k]
+    return P
+
+
+def _extremes(points: np.ndarray, s: np.ndarray):
+    """The rows at the first argmin and the first argmax of points.sum(axis=1).
+
+    Within a slice a row's sum cannot fall as p_n grows, so the first least
+    sum is the first row of some slice, and the first greatest sum lies in
+    the first slice whose last row has the greatest sum; only those rows
+    are summed.
+    """
+    if not s.size:
+        return None, None
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    last = np.r_[first[1:], s.size] - 1
+    g_best = points[first[int(np.argmin(points[first].sum(axis=1)))]]
+    top = int(np.argmax(points[last].sum(axis=1)))
+    block = points[first[top]:last[top] + 1]
+    return g_best, block[int(np.argmax(block.sum(axis=1)))]
+
+
+@dataclass
+class _Ends:
+    """Predicted SE interval of p_n in every slice.
+
+    In slice s the rows kL[s] <= k < kU[s] are predicted SE: kL is the first
+    row at or above player n's floor, kU the first row above the tightest
+    bound of the other players (`bounding` marks whose bound moves with p_n).
+    Rows from kC[s] up can be neither ESE nor VSE candidates. `interior` is
+    False where a constraint that does not involve p_n fails on the whole
+    slice; `fallback` marks slices to classify row by row.
+    """
+
+    kL: np.ndarray
+    kU: np.ndarray
+    kC: np.ndarray
+    bounding: np.ndarray
+    interior: np.ndarray
+    fallback: np.ndarray
+
+
+def _slice_ends(game: GameSpec, axis: np.ndarray, prefix: np.ndarray, step: float) -> _Ends:
+    """Place each slice's interval ends from the rearranged SE inequalities.
+
+    Each end gets a bound on how far rounding in `_classify` (and here) can
+    move it. Rows outside that blur are decided by the inequalities alone;
+    a slice falls back when the blur reaches past the band's outer rows.
+    """
+    n = game.n
+    last = n - 1
+    m = axis.size
+    gfac = game.gamma_factor
+    att = game.attenuation
+    p_max = game.p_max
+    zeros = np.zeros((prefix.shape[0], 1))
+    # interference + noise per receiver at p_n = 0; receiver n's does not move with p_n
+    base = prefix @ att[:last] - np.hstack([prefix, zeros]) + game.noise
+    # rounding of every floor `_classify` compares, and of the ends computed here
+    slack = 4 * (n + 4) * np.finfo(float).eps
+    at_cap = np.hstack([prefix, zeros + p_max])
+    size = base + 2.0 * at_cap + att[last] * p_max
+    err = slack * (gfac * size + at_cap + SAT_TOL)
+
+    floor_n = gfac[last] * base[:, last]
+    lo = floor_n - SAT_TOL
+    lo_err = err[:, last] + slack * np.abs(lo)
+
+    slope = gfac[:last] * att[last, :last]  # fall of player i's margin per unit of p_n
+    margin0 = prefix + SAT_TOL - gfac[:last] * base[:, :last]
+    bounding = slope > 0.0
+    hi_i = margin0[:, bounding] / slope[bounding]
+    hi_err = err[:, :last][:, bounding] / slope[bounding] + slack * np.abs(hi_i)
+    hi = np.min(hi_i, axis=1, initial=np.inf)
+    hi_lo = np.min(hi_i - hi_err, axis=1, initial=np.inf)
+    hi_hi = np.min(hi_i + hi_err, axis=1, initial=np.inf)
+    # constraints that do not involve p_n hold or fail on the whole slice
+    flat = margin0[:, ~bounding]
+    flat_err = err[:, :last][:, ~bounding]
+    holds = flat > flat_err
+    undecided = np.any(~holds & ~(flat < -flat_err), axis=1)
+
+    kL = np.searchsorted(axis, lo, side="left")
+    kU = np.searchsorted(axis, hi, side="right")
+    cand = floor_n + step + SAT_TOL + lo_err + slack * (floor_n + step + SAT_TOL)
+    kC = np.searchsorted(axis, cand, side="right")
+
+    def below(k, x):  # every row up to k lies below x (vacuous if none)
+        return (k < 0) | (axis[np.clip(k, 0, m - 1)] < x)
+
+    def above(k, x):  # every row from k up lies above x (vacuous if none)
+        return (k >= m) | (axis[np.clip(k, 0, m - 1)] > x)
+
+    ok = below(kL - 2, lo - lo_err) & above(kL + 1, lo + lo_err)
+    ok &= below(kU - 2, hi_lo) & above(kU + 1, hi_hi)
+    ok &= np.isfinite(lo_err) & np.isfinite(cand) & ~np.isnan(hi_hi) & ~undecided
+    ok &= _ratio_falls(axis, step, p_max, base[:, last], slack * size[:, last], slack)
+    return _Ends(kL, kU, kC, bounding, np.all(holds, axis=1), ~ok)
+
+
+def _ratio_falls(axis, step, p_max, inter, inter_err, slack) -> np.ndarray:
+    """Whether player n's -step move surely lowers its ratio above the lower band.
+
+    There p_n - step stays satisfying. The ratio p / u(p) is increasing and
+    concave in p, so one step down from any p <= p_max lowers it by at least
+    step times its slope at p_max. That fall must beat SAT_TOL plus the
+    rounding of the two ratios compared, which grows as p / inter -> 0.
+    """
+    inter_lo = inter - inter_err
+    inter_hi = inter + inter_err
+    t = np.maximum(p_max / inter_lo, 1e-3)  # below 1e-3 the slope is within 1e-3 of its max
+    slope = 2.0 * np.log(2.0) * (np.log1p(t) - t / (1.0 + t)) / np.log1p(t) ** 2
+    fall = (step - slack * p_max) * slope
+    p_least = np.min(axis[2:] - step, initial=step)  # least positive p compared
+    top = p_max / (0.5 * np.log2(1.0 + p_max / inter_hi))  # largest ratio compared
+    blur = slack * top * (1.0 + 1.0 / np.log1p(p_least / inter_hi))
+    return (inter_err <= 0.5 * inter) & (fall > SAT_TOL + 4.0 * blur)
+
+
+def _rows(ends: _Ends, m: int):
+    """Rows to scan, slice by slice: lower band, interior, upper band.
+
+    Returns each row's slice and p_n index, and whether `_classify` decides
+    it (band rows) or the inequalities make it an SE point (interior rows).
+    The lower band runs from two rows below kL to the end of the candidates
+    (at least kL + 2), the upper band from kU - 2 to kU + 2, so both hold a
+    row on each side of their end; a fallback slice is all band.
+    """
+    kL, kU, fb = ends.kL, ends.kU, ends.fallback
+    a0 = np.where(fb, 0, np.clip(kL - 2, 0, m))
+    a1 = np.where(fb, m, np.clip(np.maximum(ends.kC, kL + 2), a0, m))
+    c0 = np.maximum(np.clip(kU - 2, 0, m), a1)
+    c1 = np.where(fb, m, np.maximum(np.clip(kU + 2, 0, m), c0))
+    b1 = np.where(ends.interior & ~fb, c0, a1)
+    starts = np.stack([a0, a1, c0], axis=1).ravel()
+    lens = np.stack([a1 - a0, b1 - a1, c1 - c0], axis=1).ravel()
+    stops = np.cumsum(lens)
+    k = np.arange(stops[-1]) + np.repeat(starts - (stops - lens), lens)
+    s = np.repeat(np.arange(kL.size), lens.reshape(-1, 3).sum(axis=1))
+    banded = np.repeat(np.tile([True, False, True], kL.size), lens)
+    return s, k, banded
+
+
+def _contradicted(ends: _Ends, sat: np.ndarray, s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Slices whose band rows disagree with the predicted ends.
+
+    Two rows below kL player n must be unsatisfied and from kL + 1 up
+    satisfied; up to kU - 2 the bounding players must all be satisfied and
+    from kU + 1 up not. A band that does not bracket its end this way sends
+    the slice to the row-by-row fallback.
+    """
+    lo, hi = ends.kL[s], ends.kU[s]
+    own = sat[:, -1]
+    others = np.all(sat[:, :-1][:, ends.bounding], axis=1)
+    bad = ((k <= lo - 2) & own) | ((k >= lo + 1) & ~own)
+    bad |= ((k <= hi - 2) & ~others) | ((k >= hi + 1) & others)
+    return np.unique(s[bad & ~ends.fallback[s]])
 
 
 def require_nonempty(result: OracleResult) -> OracleResult:

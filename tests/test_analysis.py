@@ -15,7 +15,7 @@ from segic import (
     solve_ese,
     utilities,
 )
-from segic.analysis import DimensionError
+from segic.analysis import DimensionError, _cost_ratios
 from segic.model import cost_ratio
 
 from helpers import random_two_player
@@ -223,6 +223,21 @@ class TestPredicates:
             powers = np.linspace(game.p_max / 100.0, game.p_max, 100)
             ratios = [cost_ratio(game, 0, np.array([p1, p2])) for p1 in powers]
             assert np.all(np.diff(ratios) > 0.0)
+
+    def test_vectorized_ratios_match_cost_ratio(self):
+        # is_valued_se scores all candidate powers at once; each score must be
+        # the bits cost_ratio gives for that profile, including at p_i = 0
+        rng = np.random.default_rng(15)
+        for n in range(1, 7):
+            a = 10.0 ** rng.uniform(-2, 0.3, (n, n))
+            np.fill_diagonal(a, 1.0)
+            game = GameSpec(attenuation=a, noise=10.0 ** rng.uniform(-2, 0, n),
+                            thresholds=rng.uniform(0.0, 2.0, n), p_max=10.0)
+            for i in range(n):
+                profiles = np.tile(rng.uniform(0.0, 10.0, n), (41, 1))
+                profiles[:, i] = np.linspace(0.0, 10.0, 41)
+                want = [cost_ratio(game, i, q) for q in profiles]
+                assert np.array_equal(_cost_ratios(game, i, profiles), want)
 
 
 class TestAnalyze:

@@ -1,0 +1,51 @@
+"""Every CLI invocation of the benchmark reproduces its pinned digests.
+
+perfbench/golden.json pins the exit code and the SHA-256 of stdout and of
+the output file of each `perfbench.cli_cold.invocations()` entry: README's
+contract that identical inputs give byte-identical text and CSV. Here each
+one runs in-process; the golden file is only read.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from segic.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _invocations():
+    spec = importlib.util.spec_from_file_location("cli_cold", PERFBENCH / "cli_cold.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.invocations()
+
+
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+INVOCATIONS = _invocations()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_invocation_is_pinned():
+    assert sorted(name for name, _ in INVOCATIONS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name,argv", INVOCATIONS, ids=[name for name, _ in INVOCATIONS])
+def test_cli_output_matches_golden(name, argv, tmp_path, monkeypatch, capsys):
+    out = tmp_path / f"{name}.out"
+    argv = [str(out) if arg == "{out}" else arg for arg in argv]
+    monkeypatch.chdir(ROOT)  # scenario paths are relative to the repository root
+    code = main(argv)
+    stdout = capsys.readouterr().out.encode()
+    want = GOLDEN[name]
+    assert code == want["exit"]
+    assert _sha256(stdout) == want["stdout"]
+    assert (_sha256(out.read_bytes()) if out.exists() else None) == want["out"]
