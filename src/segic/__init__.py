@@ -28,6 +28,7 @@ from .analysis import (
     is_satisfaction_equilibrium,
     is_valued_se,
     satisfaction_response_dynamics,
+    satisfaction_response_iterates,
     solve_ese,
 )
 from .oracle import OracleResult, ResourceLimitError, enumerate_grid

@@ -10,6 +10,7 @@ yields the componentwise-least point of the quadrant region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -124,7 +125,7 @@ def ese_in_box(game: GameSpec, ese: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(ese <= game.p_max + tol))
 
 
-def analyze(game: GameSpec, tol: float = 1e-9) -> EquilibriumReport:
+def analyze(game: GameSpec) -> EquilibriumReport:
     """Existence verdict plus ESE and its per-player tightness u_i - gamma_i."""
     product = condition_product(game) if game.n == 2 else None
     try:
@@ -148,29 +149,42 @@ def analyze(game: GameSpec, tol: float = 1e-9) -> EquilibriumReport:
     )
 
 
+def satisfaction_response_iterates(game: GameSpec, p0, tol: float = 1e-9):
+    """Yield (p, converged) after each synchronous satisfaction-response round.
+
+    Every round each player jumps to its minimal satisfying power against
+    the current profile, clipped to the box. The first round that moves no
+    power by tol or more is yielded with converged True and is the last.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be > 0")
+    p = validate_profile(game, p0)
+    while True:
+        nxt = np.minimum(min_satisfying_powers(game, p), game.p_max)
+        converged = bool(np.max(np.abs(nxt - p)) < tol)
+        p = nxt
+        yield p, converged
+        if converged:
+            return
+
+
 def satisfaction_response_dynamics(
     game: GameSpec,
     p0,
     max_iters: int = 10000,
     tol: float = 1e-9,
 ) -> tuple[np.ndarray, int, bool]:
-    """Synchronous satisfaction-response iteration clamped at p_max.
+    """At most max_iters rounds of `satisfaction_response_iterates`.
 
-    Every round each player jumps to its minimal satisfying power against
-    the current profile, clipped to the box. From the zero profile the
-    iterates are componentwise nondecreasing and converge to the ESE
-    whenever it lies in the box.
+    Returns the last profile, the rounds run and whether they converged.
+    From the zero profile the iterates are componentwise nondecreasing and
+    converge to the ESE whenever it lies in the box.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    p = validate_profile(game, p0).copy()
-    for k in range(1, max_iters + 1):
-        nxt = np.minimum(min_satisfying_powers(game, p), game.p_max)
-        delta = np.max(np.abs(nxt - p))
-        p = nxt
-        if delta < tol:
+    rounds = islice(satisfaction_response_iterates(game, p0, tol), max_iters)
+    for k, (p, converged) in enumerate(rounds, 1):
+        if converged:
             return p, k, True
     return p, max_iters, False
 

@@ -11,12 +11,14 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
 from . import analysis, metrics, oracle
 from .model import GameSpec, InvalidInputError, satisfied_mask, utilities
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 
 
 def _fmt(x: float) -> str:
@@ -34,7 +36,7 @@ def _default_poe_grid(game: GameSpec) -> float | None:
 
 def cmd_analyze(args) -> int:
     game, _ = load_scenario(args.scenario)
-    report = analysis.analyze(game, tol=args.tol)
+    report = analysis.analyze(game)
     feasible = report.exists and report.ese_in_box
 
     out = {
@@ -58,16 +60,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
-        for key in (
-            "exists",
-            "condition_product",
-            "ese",
-            "ese_in_box",
-            "tightness",
-            "poe",
-            "mposa",
-        ):
-            val = out[key]
+        for key, val in out.items():
             if val is None:
                 text = "null"
             elif isinstance(val, bool):
@@ -81,6 +74,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if args.grid < 1:
+        raise InvalidInputError("--grid must be >= 1")
     game, _ = load_scenario(args.scenario)
     if game.n > 3:
         print(f"error: region export supports n <= 3, got n = {game.n}", file=sys.stderr)
@@ -105,34 +100,30 @@ def cmd_region(args) -> int:
     return 0
 
 
-_SWEEP_PARAMS = ("a12", "a21", "gamma_1", "gamma_2", "noise_1", "noise_2", "p_max")
+# sweep parameter -> (GameSpec field, index into it; None for the scalar p_max)
+_SWEEP_PARAMS = {
+    "a12": ("attenuation", (0, 1)),
+    "a21": ("attenuation", (1, 0)),
+    "gamma_1": ("thresholds", 0),
+    "gamma_2": ("thresholds", 1),
+    "noise_1": ("noise", 0),
+    "noise_2": ("noise", 1),
+    "p_max": ("p_max", None),
+}
 
 
 def _apply_param(game: GameSpec, name: str, value: float) -> GameSpec:
-    a = game.attenuation.copy()
-    noise = game.noise.copy()
-    gammas = game.thresholds.copy()
-    p_max = game.p_max
-    if name == "a12":
-        a[0, 1] = value
-    elif name == "a21":
-        a[1, 0] = value
-    elif name == "gamma_1":
-        gammas[0] = value
-    elif name == "gamma_2":
-        gammas[1] = value
-    elif name == "noise_1":
-        noise[0] = value
-    elif name == "noise_2":
-        noise[1] = value
-    elif name == "p_max":
-        p_max = value
-    else:
-        raise InvalidInputError(f"unknown sweep parameter: {name}")
-    return GameSpec(attenuation=a, noise=noise, thresholds=gammas, p_max=p_max)
+    field, index = _SWEEP_PARAMS[name]
+    if index is None:
+        return replace(game, **{field: value})
+    values = getattr(game, field).copy()
+    values[index] = value
+    return replace(game, **{field: values})
 
 
 def cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise InvalidInputError("--steps must be >= 1")
     game, _ = load_scenario(args.scenario)
     if game.n != 2:
         print("error: sweep supports two-player scenarios only", file=sys.stderr)
@@ -149,7 +140,7 @@ def cmd_sweep(args) -> int:
         writer.writerow([args.param, "exists", "ese_1", "ese_2", "ese_in_box", "mposa"])
         for value in values:
             swept = _apply_param(game, args.param, float(value))
-            report = analysis.analyze(swept, tol=args.tol)
+            report = analysis.analyze(swept)
             row = [_fmt(value), int(report.exists)]
             if report.exists:
                 row += [_fmt(report.ese[0]), _fmt(report.ese[1]), int(report.ese_in_box)]
@@ -165,20 +156,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
+    if args.max_iters < 1:
+        raise InvalidInputError("--max-iters must be >= 1")
     game, _ = load_scenario(args.scenario)
     p = np.zeros(game.n)
-    rows = [(0, p.copy(), utilities(game, p))]
-    converged = False
-    iters = 0
-    for k in range(1, args.max_iters + 1):
-        p, _, step_converged = analysis.satisfaction_response_dynamics(
-            game, p, max_iters=1, tol=args.tol
-        )
-        rows.append((k, p.copy(), utilities(game, p)))
-        iters = k
-        if step_converged:
-            converged = True
-            break
+    rows = [(0, p, utilities(game, p))]
+    rounds = analysis.satisfaction_response_iterates(game, p, tol=args.tol)
+    for k, (p, converged) in enumerate(islice(rounds, args.max_iters), 1):
+        rows.append((k, p, utilities(game, p)))
+    iters = len(rows) - 1
 
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
@@ -209,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="existence, ESE, tightness, PoE, MPoSa")
     p_an.add_argument("scenario")
-    p_an.add_argument("--tol", type=float, default=1e-9)
     fmt = p_an.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--text", dest="json", action="store_false")
@@ -227,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--from", dest="start", type=float, required=True)
     p_sw.add_argument("--to", dest="stop", type=float, required=True)
     p_sw.add_argument("--steps", type=int, required=True)
-    p_sw.add_argument("--tol", type=float, default=1e-9)
     p_sw.add_argument("--out", required=True)
     p_sw.set_defaults(func=cmd_sweep)
 
@@ -245,10 +229,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except analysis.DimensionError as exc:
+    except (ValueError, OSError) as exc:  # ScenarioError, InvalidInputError, DimensionError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,16 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import GameSpec, cost_ratio
+from .model import SAT_TOL, GameSpec, cost_ratio
 from .analysis import (
     NoEquilibriumError,
     build_system,
     ese_in_box,
     is_satisfaction_equilibrium,
-    satisfaction_response_dynamics,
     solve_ese,
 )
-from .oracle import OracleResult, require_nonempty
+from .oracle import OracleResult, floor_error_bound, require_nonempty
 
 
 @dataclass(frozen=True)
@@ -40,72 +39,46 @@ def summed_cost_ratio(game: GameSpec, p) -> float:
     return float(sum(cost_ratio(game, i, p) for i in range(game.n)))
 
 
-def _refine(game: GameSpec, seeds: np.ndarray) -> list[np.ndarray]:
-    """Polish grid candidates to exact equilibria via satisfaction response.
-
-    Each player repeatedly drops to its minimal satisfying power; for both
-    the efficient and the valued criterion (the ratio is increasing in own
-    power) the per-player optimum is that floor, so candidates flow to the
-    exact fixed points. Duplicates are merged.
-    """
-    refined: list[np.ndarray] = []
-    for seed in np.atleast_2d(seeds):
-        p, _, converged = satisfaction_response_dynamics(
-            game, seed, max_iters=200000, tol=1e-13
-        )
-        if not converged or not is_satisfaction_equilibrium(game, p, tol=1e-9):
-            continue
-        if not any(np.max(np.abs(p - q)) <= 1e-9 for q in refined):
-            refined.append(p)
-    return refined
-
-
 def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
-    """Summed ratio of the worst efficient SE over the best valued SE.
+    """Summed ratio of the worst efficient SE over the best valued SE: 1.
 
-    Candidate equilibria come from the oracle's grid scan and are refined
-    by satisfaction response before comparison. That response, clamped at
-    p_max, is a standard interference function (Yates, IEEE JSAC 1995), so
-    from every seed it converges to the same fixed point, the ESE. Both
-    refined sets therefore collapse to the ESE and the value is 1 by
-    construction: it does not test whether the two notions coincide.
+    The satisfaction response, clamped at p_max, is a standard interference
+    function (Yates, IEEE JSAC 1995), so its fixed point, the ESE, is the
+    only efficient and the only valued SE, and PoE is 1 exactly.
+
+    The oracle's scan is checked against `solve_ese` instead. With A p >= b
+    the SE system and w = A^-1 1 (>= 0, A being an M-matrix), the oracle's
+    ESE-candidate test reads -SAT_TOL <= A p - b <= step + SAT_TOL, so a
+    candidate lies in [ese - SAT_TOL w, ese + (step + SAT_TOL) w]; every SE
+    point, so every VSE candidate and g_best, lies above the lower end. A
+    point outside by more than the oracle's floor rounding
+    (`floor_error_bound`, carried through A^-1) raises NoEquilibriumError.
     """
     require_nonempty(oracle)
-    ese_seeds = oracle.ese_candidates
-    vse_seeds = oracle.vse_candidates
-    if ese_seeds.shape[0] == 0:
-        ese_seeds = np.atleast_2d(oracle.g_best)
-    if vse_seeds.shape[0] == 0:
-        vse_seeds = np.atleast_2d(oracle.g_best)
-    efficient = _refine(game, ese_seeds)
-    valued = _refine(game, vse_seeds)
-    if not efficient or not valued:
-        raise NoEquilibriumError("oracle candidates did not refine to an equilibrium")
-    worst_ese = max(summed_cost_ratio(game, p) for p in efficient)
-    best_vse = min(summed_cost_ratio(game, p) for p in valued)
-    return worst_ese / best_vse
+    ese = solve_ese(game)
+    bounds = np.column_stack([np.ones(game.n), floor_error_bound(game)])
+    w, slack = np.linalg.solve(build_system(game).A, bounds).T
+    lower = ese - SAT_TOL * w - slack
+    upper = ese + (oracle.grid_step + SAT_TOL) * w + slack
+    unbounded = np.full(game.n, np.inf)
+    for name, points, top in (
+        ("ESE candidate", oracle.ese_candidates, upper),
+        ("VSE candidate", oracle.vse_candidates, unbounded),
+        ("g_best", np.atleast_2d(oracle.g_best), unbounded),
+    ):
+        outside = np.flatnonzero(np.any((points < lower) | (points > top), axis=1))
+        if outside.size:
+            row = int(outside[0])
+            raise NoEquilibriumError(
+                f"{name} row {row} at {points[row].tolist()} is outside "
+                f"[{lower.tolist()}, {top.tolist()}] around the ESE {ese.tolist()}"
+            )
+    return 1.0
 
 
 def worst_se_total_power(game: GameSpec) -> np.ndarray:
-    """Box-feasible SE maximizing total power (the g-worst point).
-
-    When the all-p_max profile is an SE it is returned directly; otherwise
-    the linear program max sum(p) s.t. A p >= b, 0 <= p <= p_max is solved.
-    """
-    full = np.full(game.n, game.p_max)
-    if is_satisfaction_equilibrium(game, full):
-        return full
-    system = build_system(game)
-    res = linprog(
-        c=-np.ones(game.n),
-        A_ub=-system.A,
-        b_ub=-system.b,
-        bounds=[(0.0, game.p_max)] * game.n,
-        method="highs",
-    )
-    if not res.success:
-        raise NoEquilibriumError("no satisfaction equilibrium inside the power box")
-    return np.asarray(res.x, dtype=float)
+    """Box-feasible SE of largest total power: the g-worst point of `max_price_of_satisfaction`."""
+    return max_price_of_satisfaction(game)[1]
 
 
 def max_price_of_satisfaction(game: GameSpec) -> tuple[float, np.ndarray]:
@@ -120,7 +93,17 @@ def max_price_of_satisfaction(game: GameSpec) -> tuple[float, np.ndarray]:
     full = np.full(game.n, game.p_max)
     if is_satisfaction_equilibrium(game, full):
         return (game.n * game.p_max / total if total > 0.0 else np.inf), full
-    worst = worst_se_total_power(game)
+    system = build_system(game)
+    res = linprog(
+        c=-np.ones(game.n),
+        A_ub=-system.A,
+        b_ub=-system.b,
+        bounds=[(0.0, game.p_max)] * game.n,
+        method="highs",
+    )
+    if not res.success:
+        raise NoEquilibriumError("no satisfaction equilibrium inside the power box")
+    worst = np.asarray(res.x, dtype=float)
     return (float(worst.sum()) / total if total > 0.0 else np.inf), worst
 
 

@@ -202,6 +202,25 @@ class _Ends:
     fallback: np.ndarray
 
 
+def _rounding(n: int) -> float:
+    """Relative rounding of the floors `_classify` compares and of values derived from them."""
+    return 4 * (n + 4) * np.finfo(float).eps
+
+
+def _floor_error(game: GameSpec, size, at_cap):
+    """Rounding bound of the floors `_classify` compares with powers up to `at_cap`.
+
+    `size` bounds the summed magnitudes of the terms of p @ a - p + noise.
+    """
+    return _rounding(game.n) * (game.gamma_factor * size + at_cap + SAT_TOL)
+
+
+def floor_error_bound(game: GameSpec) -> np.ndarray:
+    """`_floor_error` anywhere in the box: `_slice_ends`' bound (rising with p) at all-p_max."""
+    size = game.p_max * (game.attenuation.sum(axis=0) + 2.0) + game.noise
+    return _floor_error(game, size, game.p_max)
+
+
 def _slice_ends(game: GameSpec, axis: np.ndarray, prefix: np.ndarray, step: float) -> _Ends:
     """Place each slice's interval ends from the rearranged SE inequalities.
 
@@ -219,10 +238,10 @@ def _slice_ends(game: GameSpec, axis: np.ndarray, prefix: np.ndarray, step: floa
     # interference + noise per receiver at p_n = 0; receiver n's does not move with p_n
     base = prefix @ att[:last] - np.hstack([prefix, zeros]) + game.noise
     # rounding of every floor `_classify` compares, and of the ends computed here
-    slack = 4 * (n + 4) * np.finfo(float).eps
+    slack = _rounding(n)
     at_cap = np.hstack([prefix, zeros + p_max])
     size = base + 2.0 * at_cap + att[last] * p_max
-    err = slack * (gfac * size + at_cap + SAT_TOL)
+    err = _floor_error(game, size, at_cap)
 
     floor_n = gfac[last] * base[:, last]
     lo = floor_n - SAT_TOL

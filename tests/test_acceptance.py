@@ -5,6 +5,7 @@ lines; any failure shows up as a normal pytest failure.
 """
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from segic import (
     is_valued_se,
     max_price_of_satisfaction,
     price_of_efficiency,
-    satisfaction_response_dynamics,
+    satisfaction_response_iterates,
     solve_ese,
     utilities,
 )
@@ -121,8 +122,8 @@ def test_criterion_7_dynamics(g0):
     p = np.zeros(2)
     trajectory = [p]
     converged = False
-    for _ in range(10000):
-        nxt, _, step_done = satisfaction_response_dynamics(g0, p, max_iters=1, tol=1e-9)
+    rounds = satisfaction_response_iterates(g0, p, tol=1e-9)
+    for nxt, step_done in islice(rounds, 10000):
         assert np.all(nxt >= p - 1e-12 * np.maximum(1.0, p))
         trajectory.append(nxt)
         p = nxt

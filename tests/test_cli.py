@@ -231,3 +231,27 @@ class TestDynamics:
         assert lines["converged"] == "true"
         assert [float(v) for v in lines["final"].split()] == [1.0, 1.0]
         assert lines["is_se"] == "false"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--grid", "0"],
+        ["region", "--grid", "-1"],
+        ["sweep", "--param", "a12", "--from", "0", "--to", "2", "--steps", "0"],
+        ["dynamics", "--max-iters", "0"],
+        ["dynamics", "--tol", "0"],
+        ["dynamics", "--tol=-1e-9"],
+        ["dynamics", "--tol", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_flag_is_input_error(capsys, g0_scenario, tmp_path, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] != "dynamics":
+        argv = argv + ["--out", str(out)]
+    code, stdout, err = run(capsys, argv[0], g0_scenario, *argv[1:])
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from segic import (
     GameSpec,
     NoEquilibriumError,
+    build_system,
     enumerate_grid,
     is_satisfaction_equilibrium,
     max_price_of_satisfaction,
@@ -12,6 +15,7 @@ from segic import (
     solve_ese,
 )
 from segic.metrics import worst_se_total_power
+from segic.model import SAT_TOL
 
 from helpers import draw_feasible_in_box
 
@@ -38,6 +42,16 @@ class TestPriceOfEfficiency:
         for game, _ in draw_feasible_in_box(rng, 20):
             poe = price_of_efficiency(game, enumerate_grid(game, game.p_max / 200.0))
             assert poe == pytest.approx(1.0, abs=1e-6)
+
+    def test_candidate_outside_bound_raises(self, g0):
+        # an ESE candidate has ese - SAT_TOL w <= p <= ese + (step + SAT_TOL) w
+        # with w = A^-1 1; move one a further step * w above that
+        scan = enumerate_grid(g0, 0.01)
+        w = np.linalg.solve(build_system(g0).A, np.ones(2))
+        moved = scan.ese_candidates.copy()
+        moved[0] = solve_ese(g0) + (2 * scan.grid_step + SAT_TOL) * w
+        with pytest.raises(NoEquilibriumError, match="ESE candidate row 0"):
+            price_of_efficiency(g0, replace(scan, ese_candidates=moved))
 
 
 class TestMaxPriceOfSatisfaction:
