@@ -37,7 +37,6 @@ from .metrics import (
     max_price_of_satisfaction,
     metrics_report,
     price_of_efficiency,
-    summed_cost_ratio,
 )
 from .scenario import ScenarioError, load_scenario, write_scenario
 

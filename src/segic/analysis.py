@@ -15,6 +15,7 @@ from itertools import islice
 import numpy as np
 
 from .model import (
+    SAT_TOL,
     GameSpec,
     cost_ratio,
     min_satisfying_powers,
@@ -22,6 +23,11 @@ from .model import (
     utilities,
     validate_profile,
 )
+
+
+POWER_TOL = 1e-12  # slack on the ESE's sign and box tests
+EFFICIENT_TOL = 1e-9  # power an efficient SE may have above its floor
+VALUED_RTOL = 1e-9  # relative slack of a valued SE's ratio over the scanned best
 
 
 class DimensionError(ValueError):
@@ -102,7 +108,7 @@ def ese_two_player(game: GameSpec) -> np.ndarray:
     return np.array([p1, p2])
 
 
-def solve_ese(game: GameSpec, tol: float = 1e-12) -> np.ndarray:
+def solve_ese(game: GameSpec) -> np.ndarray:
     """ESE for any player count via the equality version of the SE system.
 
     Solves A p = b and accepts the solution iff it is componentwise
@@ -114,15 +120,15 @@ def solve_ese(game: GameSpec, tol: float = 1e-12) -> np.ndarray:
         p = np.linalg.solve(system.A, system.b)
     except np.linalg.LinAlgError as exc:
         raise NoEquilibriumError(f"singular SE boundary system: {exc}") from exc
-    if np.any(p < -tol):
+    if np.any(p < -POWER_TOL):
         raise NoEquilibriumError(
             f"boundary intersection has negative component {p.min()}"
         )
     return np.maximum(p, 0.0)
 
 
-def ese_in_box(game: GameSpec, ese: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.all(ese <= game.p_max + tol))
+def ese_in_box(game: GameSpec, ese: np.ndarray) -> bool:
+    return bool(np.all(ese <= game.p_max + POWER_TOL))
 
 
 def analyze(game: GameSpec) -> EquilibriumReport:
@@ -189,21 +195,21 @@ def satisfaction_response_dynamics(
     return p, max_iters, False
 
 
-def is_satisfaction_equilibrium(game: GameSpec, p, tol: float = 1e-12) -> bool:
+def is_satisfaction_equilibrium(game: GameSpec, p, tol: float = SAT_TOL) -> bool:
     """True iff every player meets its threshold at p."""
     p = validate_profile(game, p)
     return bool(np.all(satisfied_mask(game, p, tol=tol)))
 
 
-def is_efficient_se(game: GameSpec, p, tol: float = 1e-9) -> bool:
+def is_efficient_se(game: GameSpec, p) -> bool:
     """True iff p is an SE and no player can shed power and stay satisfied."""
     p = validate_profile(game, p)
     if not is_satisfaction_equilibrium(game, p):
         return False
-    return bool(np.all(p <= min_satisfying_powers(game, p) + tol))
+    return bool(np.all(p <= min_satisfying_powers(game, p) + EFFICIENT_TOL))
 
 
-def is_valued_se(game: GameSpec, p, grid_step: float, tol: float = 1e-9) -> bool:
+def is_valued_se(game: GameSpec, p, grid_step: float) -> bool:
     """True iff p is an SE and each player's power minimizes p_i / u_i.
 
     The candidate interval for player i is [minimal satisfying power, p_max];
@@ -218,27 +224,12 @@ def is_valued_se(game: GameSpec, p, grid_step: float, tol: float = 1e-9) -> bool
     floors = min_satisfying_powers(game, p)
     for i in range(game.n):
         lo = min(floors[i], game.p_max)
-        candidates = np.arange(lo, game.p_max, grid_step)
-        candidates = np.append(candidates, game.p_max)
+        candidates = np.append(np.arange(lo, game.p_max, grid_step), game.p_max)
         profiles = np.tile(p, (candidates.size, 1))
         profiles[:, i] = candidates
-        best = float(np.min(_cost_ratios(game, i, profiles)))
+        best = float(np.min(cost_ratio(game, i, profiles)))
         mine = cost_ratio(game, i, p)
-        if mine > best + tol * max(1.0, best):
+        if mine > best + VALUED_RTOL * max(1.0, best):
             return False
     return True
 
-
-def _cost_ratios(game: GameSpec, i: int, profiles: np.ndarray) -> np.ndarray:
-    """cost_ratio(game, i, q) for every row q of profiles, to the last bit.
-
-    The stacked matmul takes the same vector-times-matrix route as
-    `interference` does for a single profile; one matrix product over all
-    rows may round differently for n >= 4.
-    """
-    stacked = np.matmul(profiles[:, np.newaxis, :], game.attenuation)[:, 0, :]
-    inter = (stacked - profiles + game.noise)[:, i]
-    own = profiles[:, i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = 0.5 * np.log2(1.0 + own / inter)
-        return np.where(own == 0.0, 2.0 * np.log(2.0) * inter, own / u)

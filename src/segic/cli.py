@@ -81,22 +81,20 @@ def cmd_region(args) -> int:
         print(f"error: region export supports n <= 3, got n = {game.n}", file=sys.stderr)
         return 1
     axis = np.linspace(0.0, game.p_max, args.grid + 1)
-    header = (
-        [f"p{i + 1}" for i in range(game.n)]
-        + [f"satisfied_{i + 1}" for i in range(game.n)]
-        + ["is_se"]
-    )
+    text = [_fmt(v) for v in axis]
+    header = [f"{c}{i + 1}" for c in ("p", "satisfied_") for i in range(game.n)] + ["is_se"]
+    # grid indices of one p1 slice in row order: O(m^(n-1)) memory, not O(m^n)
+    shape = (axis.size,) * game.n
+    idx = np.column_stack(np.unravel_index(np.arange(axis.size ** (game.n - 1)), shape))
+    rest = [[text[j] for j in row[1:]] for row in idx.tolist()]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for idx in np.ndindex(*([axis.size] * game.n)):
-            p = axis[list(idx)]
-            sat = satisfied_mask(game, p)
-            writer.writerow(
-                [_fmt(v) for v in p]
-                + [int(s) for s in sat]
-                + [int(bool(np.all(sat)))]
-            )
+        for first, p1 in enumerate(text):
+            idx[:, 0] = first
+            sat = satisfied_mask(game, axis[idx])
+            flags = np.where(np.column_stack([sat, sat.all(axis=1)]), "1", "0").tolist()
+            writer.writerows([p1, *others, *f] for others, f in zip(rest, flags))
     return 0
 
 
@@ -160,28 +158,24 @@ def cmd_dynamics(args) -> int:
         raise InvalidInputError("--max-iters must be >= 1")
     game, _ = load_scenario(args.scenario)
     p = np.zeros(game.n)
-    rows = [(0, p, utilities(game, p))]
+    powers = [p]
     rounds = analysis.satisfaction_response_iterates(game, p, tol=args.tol)
-    for k, (p, converged) in enumerate(islice(rounds, args.max_iters), 1):
-        rows.append((k, p, utilities(game, p)))
-    iters = len(rows) - 1
+    for p, converged in islice(rounds, args.max_iters):
+        powers.append(p)
+    rates = utilities(game, np.array(powers))
 
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["iteration"]
-                + [f"p{i + 1}" for i in range(game.n)]
-                + [f"u{i + 1}" for i in range(game.n)]
-            )
-            for k, powers, us in rows:
-                writer.writerow([k] + [_fmt(v) for v in powers] + [_fmt(v) for v in us])
+            writer.writerow(["iteration"] + [f"{c}{i + 1}" for c in "pu" for i in range(game.n)])
+            for k, (ps, us) in enumerate(zip(powers, rates)):
+                writer.writerow([k] + [_fmt(v) for v in ps] + [_fmt(v) for v in us])
 
     is_se = analysis.is_satisfaction_equilibrium(game, p, tol=args.tol)
     print(f"converged: {'true' if converged else 'false'}")
-    print(f"iterations: {iters}")
+    print(f"iterations: {len(powers) - 1}")
     print(f"final: {' '.join(_fmt(v) for v in p)}")
-    print(f"utilities: {' '.join(_fmt(v) for v in utilities(game, p))}")
+    print(f"utilities: {' '.join(_fmt(v) for v in rates[-1])}")
     print(f"is_se: {'true' if is_se else 'false'}")
     return 0
 

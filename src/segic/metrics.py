@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import SAT_TOL, GameSpec, cost_ratio
+from .model import SAT_TOL, GameSpec
 from .analysis import (
     NoEquilibriumError,
     build_system,
@@ -31,12 +31,6 @@ class MetricsReport:
     mposa: float
     worst_se_under_g: np.ndarray
     objective_g_at_ese: float
-
-
-def summed_cost_ratio(game: GameSpec, p) -> float:
-    """Sum over players of p_i / u_i(p)."""
-    p = np.asarray(p, dtype=float)
-    return float(sum(cost_ratio(game, i, p) for i in range(game.n)))
 
 
 def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:

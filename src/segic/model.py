@@ -12,7 +12,7 @@ the direct gains a[i, i] are 1 (and never read by the formulas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,6 +79,7 @@ class GameSpec:
     noise: np.ndarray
     thresholds: np.ndarray
     p_max: float
+    _gamma_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _as_matrix(self.attenuation, "attenuation")
@@ -109,6 +110,10 @@ class GameSpec:
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "p_max", float(self.p_max))
+        # read on every kernel call; gamma >~ 512 overflows to inf (with a warning) here
+        gfac = 4.0 ** thresholds - 1.0
+        gfac.flags.writeable = False
+        object.__setattr__(self, "_gamma_factor", gfac)
 
     @property
     def n(self) -> int:
@@ -116,8 +121,8 @@ class GameSpec:
 
     @property
     def gamma_factor(self) -> np.ndarray:
-        """Per-player factor 4**gamma_i - 1 appearing in all SE inequalities."""
-        return 4.0 ** self.thresholds - 1.0
+        """Per-player factor 4**gamma_i - 1 appearing in all SE inequalities (read-only)."""
+        return self._gamma_factor
 
 
 def normalize(raw: RawChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -134,21 +139,26 @@ def game_from_raw(raw: RawChannel, thresholds, p_max: float) -> GameSpec:
     return GameSpec(attenuation=a, noise=noise, thresholds=thresholds, p_max=p_max)
 
 
-def validate_profile(game: GameSpec, p, tol: float = SAT_TOL) -> np.ndarray:
-    """Check a power profile against the strategy sets [0, p_max]^n."""
+def validate_profile(game: GameSpec, p) -> np.ndarray:
+    """Check a power profile against the strategy sets [0, p_max]^n, within SAT_TOL."""
     p = _as_vector(p, "power profile")
     if p.shape != (game.n,):
         raise InvalidInputError(f"profile length {p.shape[0]} != {game.n} players")
-    if np.any(p < -tol) or np.any(p > game.p_max + tol):
+    if np.any(p < -SAT_TOL) or np.any(p > game.p_max + SAT_TOL):
         i = int(np.argmax(np.maximum(-p, p - game.p_max)))
         raise InvalidInputError(f"p[{i}] = {p[i]} outside [0, {game.p_max}]")
     return p
 
 
 def interference(game: GameSpec, p) -> np.ndarray:
-    """Per-receiver interference-plus-noise sum_{j != i} a[j, i] p_j + noise_i."""
+    """Per-receiver interference-plus-noise sum_{j != i} a[j, i] p_j + noise_i.
+
+    p is a profile or a stack of them (players last). Each row takes its own
+    vector-times-matrix product, so it gets its single-call bits; one
+    (N, n) @ (n, n) product rounds differently for n >= 4.
+    """
     p = np.asarray(p, dtype=float)
-    return p @ game.attenuation - p + game.noise
+    return (p[..., np.newaxis, :] @ game.attenuation)[..., 0, :] - p + game.noise
 
 
 def utilities(game: GameSpec, p) -> np.ndarray:
@@ -189,9 +199,9 @@ def min_satisfying_power(game: GameSpec, i: int, p_others) -> float:
     return float(min_satisfying_powers(game, full)[i])
 
 
-def is_satisfied(game: GameSpec, i: int, p, tol: float = SAT_TOL) -> bool:
-    """True iff player i meets its threshold at p (within tol)."""
-    return bool(utilities(game, p)[i] >= game.thresholds[i] - tol)
+def is_satisfied(game: GameSpec, i: int, p) -> bool:
+    """True iff player i meets its threshold at p (within SAT_TOL)."""
+    return bool(satisfied_mask(game, p)[i])
 
 
 def satisfied_mask(game: GameSpec, p, tol: float = SAT_TOL) -> np.ndarray:
@@ -199,13 +209,17 @@ def satisfied_mask(game: GameSpec, p, tol: float = SAT_TOL) -> np.ndarray:
     return utilities(game, p) >= game.thresholds - tol
 
 
-def cost_ratio(game: GameSpec, i: int, p) -> float:
+def cost_ratio(game: GameSpec, i: int, p) -> float | np.ndarray:
     """Power-to-rate tradeoff p_i / u_i(p), extended by its limit at p_i = 0.
 
     As p_i -> 0 the ratio tends to 2*ln(2) times the interference-plus-noise
     at receiver i, which keeps the ratio well-defined on zero-threshold games.
+    A float for one profile, an array for a stack.
     """
     p = np.asarray(p, dtype=float)
-    if p[i] == 0.0:
-        return float(2.0 * np.log(2.0) * interference(game, p)[i])
-    return float(p[i] / utilities(game, p)[i])
+    own = p[..., i]
+    inter = interference(game, p)[..., i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(own == 0.0, 2.0 * np.log(2.0) * inter,
+                         own / (0.5 * np.log2(1.0 + own / inter)))
+    return ratio[()]

@@ -8,15 +8,17 @@ from segic import (
     build_system,
     ese_two_player,
     exists_two_player,
+    interference,
     is_efficient_se,
     is_satisfaction_equilibrium,
     is_valued_se,
+    min_satisfying_powers,
     satisfaction_response_dynamics,
     solve_ese,
     utilities,
 )
-from segic.analysis import DimensionError, _cost_ratios
-from segic.model import cost_ratio
+from segic.analysis import DimensionError
+from segic.model import cost_ratio, satisfied_mask
 
 from helpers import random_two_player
 
@@ -225,10 +227,12 @@ class TestPredicates:
             assert np.all(np.diff(ratios) > 0.0)
 
     def test_vectorized_ratios_match_cost_ratio(self):
-        # is_valued_se scores all candidate powers at once; each score must be
-        # the bits cost_ratio gives for that profile, including at p_i = 0
+        # is_valued_se, region and dynamics feed the model kernels stacks of
+        # profiles; every stacked row must get the bits of its own single call,
+        # also for n >= 4 and at p_i = 0 (cost_ratio's limit branch)
         rng = np.random.default_rng(15)
-        for n in range(1, 7):
+        kernels = (interference, utilities, satisfied_mask, min_satisfying_powers)
+        for n in range(1, 9):
             a = 10.0 ** rng.uniform(-2, 0.3, (n, n))
             np.fill_diagonal(a, 1.0)
             game = GameSpec(attenuation=a, noise=10.0 ** rng.uniform(-2, 0, n),
@@ -237,7 +241,12 @@ class TestPredicates:
                 profiles = np.tile(rng.uniform(0.0, 10.0, n), (41, 1))
                 profiles[:, i] = np.linspace(0.0, 10.0, 41)
                 want = [cost_ratio(game, i, q) for q in profiles]
-                assert np.array_equal(_cost_ratios(game, i, profiles), want)
+                assert np.array_equal(cost_ratio(game, i, profiles), want)
+            stack = rng.uniform(0.0, 10.0, (3, 17, n))
+            stack[0, 0] = 0.0
+            for kernel in kernels:
+                want = [[kernel(game, q) for q in rows] for rows in stack]
+                assert np.array_equal(kernel(game, stack), want)
 
 
 class TestAnalyze:

@@ -1,10 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from segic.cli import main
+from segic import GameSpec, write_scenario
+from segic.cli import _fmt, main
+from segic.model import satisfied_mask
 
 from conftest import G0_DICT
 
@@ -144,6 +147,50 @@ class TestRegion:
         code, _, err = run(capsys, "region", path, "--grid", "10", "--out", "/dev/null")
         assert code == 1
         assert "n <= 3" in err
+
+
+def _region_reference(game, grid, path):
+    # the per-point loop `region` ran before it batched each p1 slice
+    axis = np.linspace(0.0, game.p_max, grid + 1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"p{i + 1}" for i in range(game.n)]
+                        + [f"satisfied_{i + 1}" for i in range(game.n)] + ["is_se"])
+        for idx in np.ndindex(*([axis.size] * game.n)):
+            p = axis[list(idx)]
+            sat = satisfied_mask(game, p)
+            writer.writerow([_fmt(v) for v in p] + [int(s) for s in sat]
+                            + [int(bool(np.all(sat)))])
+
+
+def _random_game(seed, n):
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-2, 0.3, (n, n))
+    np.fill_diagonal(a, 1.0)
+    return GameSpec(attenuation=a, noise=10.0 ** rng.uniform(-2, 0, n),
+                    thresholds=rng.uniform(0.0, 1.0, n), p_max=10.0 ** rng.uniform(-1, 1))
+
+
+G0 = GameSpec(attenuation=G0_DICT["a"], noise=G0_DICT["noise"],
+              thresholds=G0_DICT["gammas"], p_max=G0_DICT["p_max"])
+REGION_GAMES = (
+    [(f"random{n}p-{seed}", _random_game(seed, n), grid)
+     for n, grid in ((1, 60), (2, 40), (3, 12)) for seed in range(4)]
+    + [(f"g0x{scale:g}", replace(G0, noise=G0.noise * scale, p_max=G0.p_max * scale), 50)
+       for scale in (1e6, 1e-9)]
+)
+
+
+@pytest.mark.parametrize("game,grid", [case[1:] for case in REGION_GAMES],
+                         ids=[case[0] for case in REGION_GAMES])
+def test_region_matches_per_point_reference(capsys, tmp_path, game, grid):
+    scenario = tmp_path / "game.json"
+    write_scenario(scenario, game)
+    out, ref = tmp_path / "region.csv", tmp_path / "reference.csv"
+    code, _, _ = run(capsys, "region", str(scenario), "--grid", str(grid), "--out", str(out))
+    assert code == 0
+    _region_reference(game, grid, ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 class TestSweep:

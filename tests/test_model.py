@@ -7,6 +7,7 @@ from segic import (
     InvalidInputError,
     RawChannel,
     game_from_raw,
+    interference,
     is_satisfied,
     min_satisfying_power,
     min_satisfying_powers,
@@ -180,3 +181,14 @@ class TestProperties:
                 q = p.copy()
                 q[i] = floors[i]
                 assert abs(utility(game, i, q) - game.thresholds[i]) < 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="p @ a - p + noise cancels a cross term below the "
+                   "own power; the fix moves interference's last bits, which the CLI "
+                   "golden digests pin")
+def test_cross_term_below_own_power_survives():
+    gamma = np.log(1e15 + 1.0) / np.log(4.0)
+    game = GameSpec(attenuation=[[1.0, 1e-15], [0.1, 1.0]], noise=[0.1, 1e-15],
+                    thresholds=[0.1, gamma], p_max=10.0)
+    # receiver 2 hears 1e-15 * 0.05 + noise 1e-15
+    assert interference(game, [0.05, 1.0])[1] == pytest.approx(1.05e-15, rel=1e-9, abs=0.0)
