@@ -32,12 +32,7 @@ from .analysis import (
     solve_ese,
 )
 from .oracle import OracleResult, ResourceLimitError, enumerate_grid
-from .metrics import (
-    MetricsReport,
-    max_price_of_satisfaction,
-    metrics_report,
-    price_of_efficiency,
-)
+from .metrics import max_price_of_satisfaction, price_of_efficiency
 from .scenario import ScenarioError, load_scenario, write_scenario
 
 __version__ = "0.1.0"

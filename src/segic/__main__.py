@@ -1,0 +1,6 @@
+"""`python -m segic`: the command-line front end."""
+
+from .cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

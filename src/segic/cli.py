@@ -78,23 +78,24 @@ def cmd_region(args) -> int:
         raise InvalidInputError("--grid must be >= 1")
     game, _ = load_scenario(args.scenario)
     if game.n > 3:
-        print(f"error: region export supports n <= 3, got n = {game.n}", file=sys.stderr)
-        return 1
+        raise InvalidInputError(f"region export supports n <= 3, got n = {game.n}")
     axis = np.linspace(0.0, game.p_max, args.grid + 1)
     text = [_fmt(v) for v in axis]
     header = [f"{c}{i + 1}" for c in ("p", "satisfied_") for i in range(game.n)] + ["is_se"]
     # grid indices of one p1 slice in row order: O(m^(n-1)) memory, not O(m^n)
     shape = (axis.size,) * game.n
     idx = np.column_stack(np.unravel_index(np.arange(axis.size ** (game.n - 1)), shape))
-    rest = [[text[j] for j in row[1:]] for row in idx.tolist()]
+    rest = ["".join("," + text[j] for j in row[1:]) for row in idx.tolist()]
+    digits = np.array(["0", "1"])
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        # the bytes csv.writer would write: no field ever needs quoting
+        fh.write(",".join(header) + "\r\n")
         for first, p1 in enumerate(text):
             idx[:, 0] = first
             sat = satisfied_mask(game, axis[idx])
-            flags = np.where(np.column_stack([sat, sat.all(axis=1)]), "1", "0").tolist()
-            writer.writerows([p1, *others, *f] for others, f in zip(rest, flags))
+            cols = digits[np.column_stack([sat, sat.all(axis=1)]).view(np.int8)]
+            flags = [",".join(f) for f in cols.tolist()]
+            fh.write("".join([f"{p1}{others},{f}\r\n" for others, f in zip(rest, flags)]))
     return 0
 
 
@@ -124,14 +125,11 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError("--steps must be >= 1")
     game, _ = load_scenario(args.scenario)
     if game.n != 2:
-        print("error: sweep supports two-player scenarios only", file=sys.stderr)
-        return 1
+        raise InvalidInputError("sweep supports two-player scenarios only")
     if args.param not in _SWEEP_PARAMS:
-        print(
-            f"error: unknown parameter {args.param!r}; choose from {', '.join(_SWEEP_PARAMS)}",
-            file=sys.stderr,
+        raise InvalidInputError(
+            f"unknown parameter {args.param!r}; choose from {', '.join(_SWEEP_PARAMS)}"
         )
-        return 1
     values = np.linspace(args.start, args.stop, args.steps)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -230,3 +228,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

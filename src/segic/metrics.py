@@ -7,8 +7,6 @@ the objective g(p) = 1 / sum(p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linprog
 
@@ -20,17 +18,7 @@ from .analysis import (
     is_satisfaction_equilibrium,
     solve_ese,
 )
-from .oracle import OracleResult, floor_error_bound, require_nonempty
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Efficiency metrics at one game's equilibria."""
-
-    poe: float
-    mposa: float
-    worst_se_under_g: np.ndarray
-    objective_g_at_ese: float
+from .oracle import OracleResult, floor_error_bound
 
 
 def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
@@ -48,7 +36,8 @@ def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
     point outside by more than the oracle's floor rounding
     (`floor_error_bound`, carried through A^-1) raises NoEquilibriumError.
     """
-    require_nonempty(oracle)
+    if oracle.is_empty:
+        raise NoEquilibriumError("oracle found no satisfaction equilibrium in the box")
     ese = solve_ese(game)
     bounds = np.column_stack([np.ones(game.n), floor_error_bound(game)])
     w, slack = np.linalg.solve(build_system(game).A, bounds).T
@@ -68,11 +57,6 @@ def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
                 f"[{lower.tolist()}, {top.tolist()}] around the ESE {ese.tolist()}"
             )
     return 1.0
-
-
-def worst_se_total_power(game: GameSpec) -> np.ndarray:
-    """Box-feasible SE of largest total power: the g-worst point of `max_price_of_satisfaction`."""
-    return max_price_of_satisfaction(game)[1]
 
 
 def max_price_of_satisfaction(game: GameSpec) -> tuple[float, np.ndarray]:
@@ -99,17 +83,3 @@ def max_price_of_satisfaction(game: GameSpec) -> tuple[float, np.ndarray]:
         raise NoEquilibriumError("no satisfaction equilibrium inside the power box")
     worst = np.asarray(res.x, dtype=float)
     return (float(worst.sum()) / total if total > 0.0 else np.inf), worst
-
-
-def metrics_report(game: GameSpec, oracle: OracleResult) -> MetricsReport:
-    """Bundle PoE, MPoSa and the g-objective value at the ESE."""
-    poe = price_of_efficiency(game, oracle)
-    mposa, worst = max_price_of_satisfaction(game)
-    ese = solve_ese(game)
-    total = float(ese.sum())
-    return MetricsReport(
-        poe=poe,
-        mposa=mposa,
-        worst_se_under_g=worst,
-        objective_g_at_ese=1.0 / total if total > 0.0 else np.inf,
-    )

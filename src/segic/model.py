@@ -110,8 +110,14 @@ class GameSpec:
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "p_max", float(self.p_max))
-        # read on every kernel call; gamma >~ 512 overflows to inf (with a warning) here
-        gfac = 4.0 ** thresholds - 1.0
+        # read on every kernel call; gamma >= 512 overflows to inf
+        with np.errstate(over="ignore"):
+            gfac = 4.0 ** thresholds - 1.0
+        if not np.all(np.isfinite(gfac)):
+            i = int(np.argmin(np.isfinite(gfac)))
+            raise InvalidInputError(
+                f"thresholds[{i}] = {thresholds[i]} overflows 4**gamma - 1; gamma must be < 512"
+            )
         gfac.flags.writeable = False
         object.__setattr__(self, "_gamma_factor", gfac)
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameSpec, SAT_TOL
-from .analysis import NoEquilibriumError
 
 MAX_GRID_POINTS = 10**8
 
@@ -336,9 +335,3 @@ def _contradicted(ends: _Ends, sat: np.ndarray, s: np.ndarray, k: np.ndarray) ->
     bad = ((k <= lo - 2) & own) | ((k >= lo + 1) & ~own)
     bad |= ((k <= hi - 2) & ~others) | ((k >= hi + 1) & others)
     return np.unique(s[bad & ~ends.fallback[s]])
-
-
-def require_nonempty(result: OracleResult) -> OracleResult:
-    if result.is_empty:
-        raise NoEquilibriumError("oracle found no satisfaction equilibrium in the box")
-    return result

@@ -1,12 +1,13 @@
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segic import GameSpec, write_scenario
-from segic.cli import _fmt, main
+from segic import GameSpec, InvalidInputError, write_scenario
+from segic.cli import _fmt, build_parser, main
 from segic.model import satisfied_mask
 
 from conftest import G0_DICT
@@ -298,6 +299,35 @@ def test_out_of_range_flag_is_input_error(capsys, g0_scenario, tmp_path, argv):
     if argv[0] != "dynamics":
         argv = argv + ["--out", str(out)]
     code, stdout, err = run(capsys, argv[0], g0_scenario, *argv[1:])
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+
+FOUR_PLAYERS = dict(G0_DICT, n=4, a=np.eye(4).tolist(), noise=[0.1] * 4, gammas=[0.1] * 4)
+THREE_PLAYER = json.loads(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "three_player.json").read_text())
+SWEEP = ["--from", "0", "--to", "1", "--steps", "2"]
+
+
+@pytest.mark.parametrize(
+    "scenario,argv,message",
+    [
+        (FOUR_PLAYERS, ["region", "--grid", "10"], "supports n <= 3, got n = 4"),
+        (THREE_PLAYER, ["sweep", "--param", "a12", *SWEEP], "two-player scenarios only"),
+        (G0_DICT, ["sweep", "--param", "bogus", *SWEEP], "unknown parameter 'bogus'"),
+    ],
+    ids=["region-n4", "sweep-n3", "sweep-bogus"],
+)
+def test_unsupported_input_is_input_error(capsys, tmp_path, scenario, argv, message):
+    out = tmp_path / "out.csv"
+    argv = [argv[0], write(tmp_path, scenario), *argv[1:], "--out", str(out)]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(InvalidInputError, match=message):
+        args.func(args)  # the command raises; only `main` prints
+    code, stdout, err = run(capsys, *argv)
     assert code == 1
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1

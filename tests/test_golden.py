@@ -3,12 +3,16 @@
 perfbench/golden.json pins the exit code and the SHA-256 of stdout and of
 the output file of each `perfbench.cli_cold.invocations()` entry: README's
 contract that identical inputs give byte-identical text and CSV. Here each
-one runs in-process; the golden file is only read.
+one runs in-process, and `python -m segic` / `python -m segic.cli` run one
+as a subprocess; the golden file is only read.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,13 @@ def test_cli_output_matches_golden(name, argv, tmp_path, monkeypatch, capsys):
     assert code == want["exit"]
     assert _sha256(stdout) == want["stdout"]
     assert (_sha256(out.read_bytes()) if out.exists() else None) == want["out"]
+
+
+@pytest.mark.parametrize("module", ["segic", "segic.cli"])
+def test_module_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", module, "analyze", "scenarios/g0.json", "--json"],
+                          cwd=ROOT, env=env, capture_output=True, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert _sha256(proc.stdout) == GOLDEN["analyze.g0.json"]["stdout"]

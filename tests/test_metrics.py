@@ -10,11 +10,9 @@ from segic import (
     enumerate_grid,
     is_satisfaction_equilibrium,
     max_price_of_satisfaction,
-    metrics_report,
     price_of_efficiency,
     solve_ese,
 )
-from segic.metrics import worst_se_total_power
 from segic.model import SAT_TOL
 
 from helpers import draw_feasible_in_box
@@ -120,17 +118,3 @@ class TestMaxPriceOfSatisfaction:
         )
         with pytest.raises(NoEquilibriumError):
             max_price_of_satisfaction(game)
-
-
-class TestWorstSeTotalPower:
-    def test_reference_game(self, g0):
-        np.testing.assert_allclose(worst_se_total_power(g0), [1.0, 1.0])
-
-
-class TestMetricsReport:
-    def test_reference_game(self, g0):
-        report = metrics_report(g0, enumerate_grid(g0, 0.01))
-        assert report.poe == pytest.approx(1.0, abs=1e-9)
-        assert report.mposa == pytest.approx(5.0, abs=1e-9)
-        assert report.objective_g_at_ese == pytest.approx(2.5, abs=1e-12)
-        np.testing.assert_allclose(report.worst_se_under_g, [1.0, 1.0])

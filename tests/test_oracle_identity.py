@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segic import GameSpec, enumerate_grid, load_scenario
+from segic import GameSpec, InvalidInputError, enumerate_grid, load_scenario
 from segic import oracle
 
 import reference_oracle
@@ -133,13 +133,13 @@ def test_cancelling_interference(last):
     assert_identical(game, 0.05)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 @pytest.mark.parametrize("gammas", [[600.0, 0.5], [0.5, 600.0]])
 def test_overflowing_threshold(gammas):
-    # 4**600 overflows: the floor factor is inf and no slice end is finite
-    game = GameSpec(attenuation=[[1.0, 0.5], [0.5, 1.0]], noise=[0.1, 0.1],
-                    thresholds=gammas, p_max=1.0)
-    assert_identical(game, 0.05)
+    # 4**600 overflows to an infinite floor factor: no game to scan
+    player = gammas.index(600.0)
+    with pytest.raises(InvalidInputError, match=rf"thresholds\[{player}\] = 600\.0 overflows"):
+        GameSpec(attenuation=[[1.0, 0.5], [0.5, 1.0]], noise=[0.1, 0.1],
+                 thresholds=gammas, p_max=1.0)
 
 
 def test_single_player():
