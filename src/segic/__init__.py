@@ -4,16 +4,14 @@ from .model import (
     GameSpec,
     InvalidInputError,
     RawChannel,
-    cost_ratio,
+    cost_ratios,
     game_from_raw,
     interference,
-    is_satisfied,
-    min_satisfying_power,
     min_satisfying_powers,
     normalize,
     raw_utility,
+    satisfied_mask,
     utilities,
-    utility,
 )
 from .analysis import (
     DimensionError,

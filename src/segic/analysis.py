@@ -17,7 +17,7 @@ import numpy as np
 from .model import (
     SAT_TOL,
     GameSpec,
-    cost_ratio,
+    cost_ratios,
     min_satisfying_powers,
     satisfied_mask,
     utilities,
@@ -27,7 +27,7 @@ from .model import (
 
 POWER_TOL = 1e-12  # slack on the ESE's sign and box tests
 EFFICIENT_TOL = 1e-9  # power an efficient SE may have above its floor
-VALUED_RTOL = 1e-9  # relative slack of a valued SE's ratio over the scanned best
+VALUED_RTOL = 1e-9  # relative slack of a valued SE's ratio over the one at its floor
 
 
 class DimensionError(ValueError):
@@ -212,24 +212,18 @@ def is_efficient_se(game: GameSpec, p) -> bool:
 def is_valued_se(game: GameSpec, p, grid_step: float) -> bool:
     """True iff p is an SE and each player's power minimizes p_i / u_i.
 
-    The candidate interval for player i is [minimal satisfying power, p_max];
-    it is scanned at resolution grid_step (the ratio is also known to be
-    increasing in own power, so the scan minimum sits at the left endpoint).
+    Player i's satisfying powers are [floor_i, p_max], floor_i being its
+    minimal satisfying power. The ratio rises with own power, so its least
+    value there is the one at the floor (clamped to p_max), and p_i must
+    match it within VALUED_RTOL. grid_step must be positive and finite but
+    no longer changes the answer.
     """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be > 0")
+    if not 0.0 < grid_step < np.inf:
+        raise ValueError(f"grid_step = {grid_step} must be positive and finite")
     p = validate_profile(game, p)
     if not is_satisfaction_equilibrium(game, p):
         return False
-    floors = min_satisfying_powers(game, p)
-    for i in range(game.n):
-        lo = min(floors[i], game.p_max)
-        candidates = np.append(np.arange(lo, game.p_max, grid_step), game.p_max)
-        profiles = np.tile(p, (candidates.size, 1))
-        profiles[:, i] = candidates
-        best = float(np.min(cost_ratio(game, i, profiles)))
-        mine = cost_ratio(game, i, p)
-        if mine > best + VALUED_RTOL * max(1.0, best):
-            return False
-    return True
-
+    lo = np.minimum(min_satisfying_powers(game, p), game.p_max)
+    at_floor = np.where(np.eye(game.n, dtype=bool), lo, p)  # row i: p with p_i = lo_i
+    best = np.diagonal(cost_ratios(game, at_floor))
+    return not np.any(cost_ratios(game, p) > best + VALUED_RTOL * np.maximum(1.0, best))

@@ -79,6 +79,11 @@ def cmd_region(args) -> int:
     game, _ = load_scenario(args.scenario)
     if game.n > 3:
         raise InvalidInputError(f"region export supports n <= 3, got n = {game.n}")
+    total = (args.grid + 1) ** game.n
+    if total > oracle.MAX_GRID_POINTS:
+        raise InvalidInputError(
+            f"region grid of {total} points exceeds the {oracle.MAX_GRID_POINTS} point budget"
+        )
     axis = np.linspace(0.0, game.p_max, args.grid + 1)
     text = [_fmt(v) for v in axis]
     header = [f"{c}{i + 1}" for c in ("p", "satisfied_") for i in range(game.n)] + ["is_se"]

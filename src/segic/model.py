@@ -173,11 +173,6 @@ def utilities(game: GameSpec, p) -> np.ndarray:
     return 0.5 * np.log2(1.0 + p / interference(game, p))
 
 
-def utility(game: GameSpec, i: int, p) -> float:
-    """Achieved rate of player i at profile p."""
-    return float(utilities(game, p)[i])
-
-
 def raw_utility(raw: RawChannel, i: int, p) -> float:
     """Rate of player i computed directly from raw gains (pre-normalization form)."""
     p = np.asarray(p, dtype=float)
@@ -194,38 +189,20 @@ def min_satisfying_powers(game: GameSpec, p) -> np.ndarray:
     return game.gamma_factor * interference(game, p)
 
 
-def min_satisfying_power(game: GameSpec, i: int, p_others) -> float:
-    """Least p_i with utility(i) >= gamma_i, given the powers of all j != i."""
-    p_others = np.asarray(p_others, dtype=float)
-    if p_others.shape != (game.n - 1,):
-        raise InvalidInputError(
-            f"expected {game.n - 1} other powers, got {p_others.shape[0]}"
-        )
-    full = np.insert(p_others, i, 0.0)
-    return float(min_satisfying_powers(game, full)[i])
-
-
-def is_satisfied(game: GameSpec, i: int, p) -> bool:
-    """True iff player i meets its threshold at p (within SAT_TOL)."""
-    return bool(satisfied_mask(game, p)[i])
-
-
 def satisfied_mask(game: GameSpec, p, tol: float = SAT_TOL) -> np.ndarray:
     """Boolean satisfaction vector over all players."""
     return utilities(game, p) >= game.thresholds - tol
 
 
-def cost_ratio(game: GameSpec, i: int, p) -> float | np.ndarray:
-    """Power-to-rate tradeoff p_i / u_i(p), extended by its limit at p_i = 0.
+def cost_ratios(game: GameSpec, p) -> np.ndarray:
+    """Power-to-rate tradeoffs p_i / u_i(p), extended by their limit where u_i = 0.
 
     As p_i -> 0 the ratio tends to 2*ln(2) times the interference-plus-noise
     at receiver i, which keeps the ratio well-defined on zero-threshold games.
-    A float for one profile, an array for a stack.
+    The limit also stands in where a tiny p_i > 0 rounds u_i to 0.
     """
     p = np.asarray(p, dtype=float)
-    own = p[..., i]
-    inter = interference(game, p)[..., i]
+    inter = interference(game, p)
+    u = 0.5 * np.log2(1.0 + p / inter)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(own == 0.0, 2.0 * np.log(2.0) * inter,
-                         own / (0.5 * np.log2(1.0 + own / inter)))
-    return ratio[()]
+        return np.where(u > 0.0, p / u, 2.0 * np.log(2.0) * inter)

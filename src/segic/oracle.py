@@ -68,8 +68,8 @@ def _axis(p_max: float, step: float) -> np.ndarray:
 
 def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
     """Scan the grid and classify SE / ESE-candidate / VSE-candidate points."""
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be > 0")
+    if not 0.0 < grid_step < np.inf:
+        raise ValueError(f"grid_step = {grid_step} must be positive and finite")
     axis = _axis(game.p_max, grid_step)
     m = axis.size
     total = m**game.n

@@ -9,6 +9,7 @@ with per-receiver "noise", or raw gains "h" with a common "awgn" power
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 from .model import GameSpec, InvalidInputError, RawChannel, game_from_raw
@@ -41,6 +42,10 @@ def scenario_from_dict(data) -> tuple[GameSpec, dict]:
     for field in ("schema_version", "n", "gammas", "p_max"):
         if field not in data:
             raise ScenarioError(f"missing field: {field}")
+    for field in ("schema_version", "n", "p_max", "awgn"):
+        value = data.get(field, 0)  # awgn is absent from the normalized form
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ScenarioError(f"field {field}: must be a number, got {value!r}")
     if data["schema_version"] != SCHEMA_VERSION:
         raise ScenarioError(
             f"field schema_version: expected {SCHEMA_VERSION}, got {data['schema_version']}"

@@ -12,6 +12,7 @@ import pytest
 
 from segic import (
     GameSpec,
+    cost_ratios,
     enumerate_grid,
     ese_two_player,
     exists_two_player,
@@ -23,7 +24,6 @@ from segic import (
     utilities,
 )
 from segic.cli import main
-from segic.model import cost_ratio
 from segic.analysis import is_satisfaction_equilibrium
 
 from conftest import G0_DICT
@@ -86,7 +86,7 @@ def test_criterion_4_valued_equals_efficient(feasible_games):
         step = game.p_max / 200.0
         assert is_valued_se(game, ese, grid_step=step)
         oracle = enumerate_grid(game, step)
-        ratio_at_ese = np.array([cost_ratio(game, i, ese) for i in range(game.n)])
+        ratio_at_ese = cost_ratios(game, ese)
         P = oracle.se_points
         inter = P @ game.attenuation - P + game.noise
         with np.errstate(divide="ignore", invalid="ignore"):

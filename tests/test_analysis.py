@@ -6,6 +6,8 @@ from segic import (
     NoEquilibriumError,
     analyze,
     build_system,
+    cost_ratios,
+    enumerate_grid,
     ese_two_player,
     exists_two_player,
     interference,
@@ -14,11 +16,11 @@ from segic import (
     is_valued_se,
     min_satisfying_powers,
     satisfaction_response_dynamics,
+    satisfied_mask,
     solve_ese,
     utilities,
 )
-from segic.analysis import DimensionError
-from segic.model import cost_ratio, satisfied_mask
+from segic.analysis import VALUED_RTOL, DimensionError
 
 from helpers import random_two_player
 
@@ -217,21 +219,51 @@ class TestPredicates:
         game = GameSpec(attenuation=[[1.0]], noise=[0.1], thresholds=[0.5], p_max=0.1)
         assert is_valued_se(game, [0.1], grid_step=0.01)
 
+    def test_tiny_power_keeps_ratio_finite(self):
+        # 1 + 1e-19 rounds to 1, so u_1 is 0 while p_1 > 0; the ratio takes its
+        # p_1 -> 0 limit instead of inf, and the profile stays a valued SE
+        game = GameSpec(attenuation=[[1.0, 0.5], [0.5, 1.0]], noise=[0.1, 0.1],
+                        thresholds=[0.0, 0.5], p_max=1.0)
+        p = [1e-20, 0.1]
+        ratio = cost_ratios(game, p)[0]
+        assert np.isfinite(ratio)
+        assert ratio == pytest.approx(2.0 * np.log(2.0) * interference(game, p)[0],
+                                      rel=1e-12, abs=0.0)
+        assert is_efficient_se(game, p)
+        assert is_valued_se(game, p, 0.01)
+
+    def test_valued_se_matches_scan_reference(self):
+        rng = np.random.default_rng(16)
+        verdicts = []
+        for n in (2, 3, 4, 8):
+            for game, ese in _feasible_games(rng, n, 12):
+                step = game.p_max / 200.0
+                scaled = np.minimum(ese * (1.0 + rng.uniform(0.0, 2e-6, n)), game.p_max)
+                profiles = [ese, scaled, np.full(n, game.p_max),
+                            *rng.uniform(0.0, game.p_max, (4, n)),
+                            *rng.uniform(ese, game.p_max, (4, n))]
+                for p in profiles:
+                    verdict = is_valued_se(game, p, step)
+                    assert verdict == _scanned_valued_se(game, p, step)
+                    verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_ratio_monotone_in_own_power(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             game = random_two_player(rng)
             p2 = rng.uniform(0.0, game.p_max)
             powers = np.linspace(game.p_max / 100.0, game.p_max, 100)
-            ratios = [cost_ratio(game, 0, np.array([p1, p2])) for p1 in powers]
+            ratios = [cost_ratios(game, [p1, p2])[0] for p1 in powers]
             assert np.all(np.diff(ratios) > 0.0)
 
     def test_vectorized_ratios_match_cost_ratio(self):
         # is_valued_se, region and dynamics feed the model kernels stacks of
         # profiles; every stacked row must get the bits of its own single call,
-        # also for n >= 4 and at p_i = 0 (cost_ratio's limit branch)
+        # also for n >= 4, at p_i = 0 and where a tiny p_i > 0 rounds u_i to 0
+        # (cost_ratios' limit branch)
         rng = np.random.default_rng(15)
-        kernels = (interference, utilities, satisfied_mask, min_satisfying_powers)
+        kernels = (interference, utilities, satisfied_mask, min_satisfying_powers, cost_ratios)
         for n in range(1, 9):
             a = 10.0 ** rng.uniform(-2, 0.3, (n, n))
             np.fill_diagonal(a, 1.0)
@@ -240,13 +272,64 @@ class TestPredicates:
             for i in range(n):
                 profiles = np.tile(rng.uniform(0.0, 10.0, n), (41, 1))
                 profiles[:, i] = np.linspace(0.0, 10.0, 41)
-                want = [cost_ratio(game, i, q) for q in profiles]
-                assert np.array_equal(cost_ratio(game, i, profiles), want)
+                want = [cost_ratios(game, q)[i] for q in profiles]
+                assert np.array_equal(cost_ratios(game, profiles)[:, i], want)
             stack = rng.uniform(0.0, 10.0, (3, 17, n))
             stack[0, 0] = 0.0
+            stack[0, 1, 0] = 1e-20
             for kernel in kernels:
                 want = [[kernel(game, q) for q in rows] for rows in stack]
                 assert np.array_equal(kernel(game, stack), want)
+
+
+def _feasible_games(rng, n, count):
+    """`count` random n-player games whose ESE exists and fits in the box."""
+    games = []
+    while len(games) < count:
+        a = 10.0 ** rng.uniform(-3.0, -0.5, (n, n))
+        np.fill_diagonal(a, 1.0)
+        game = GameSpec(attenuation=a, noise=10.0 ** rng.uniform(-2, 0, n),
+                        thresholds=rng.uniform(0.0, 1.0, n), p_max=10.0)
+        try:
+            ese = solve_ese(game)
+        except NoEquilibriumError:
+            continue
+        if np.all(ese <= game.p_max):
+            games.append((game, ese))
+    return games
+
+
+def _scanned_valued_se(game, p, grid_step):
+    # the per-player scan `is_valued_se` ran before it read the ratio at the
+    # floor, with the ratio it used (inf where a tiny p_i > 0 rounds u_i to 0)
+    def ratio(i, q):
+        own = q[..., i]
+        inter = interference(game, q)[..., i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(own == 0.0, 2.0 * np.log(2.0) * inter,
+                            own / (0.5 * np.log2(1.0 + own / inter)))
+
+    p = np.asarray(p, dtype=float)
+    if not is_satisfaction_equilibrium(game, p):
+        return False
+    floors = min_satisfying_powers(game, p)
+    for i in range(game.n):
+        lo = min(floors[i], game.p_max)
+        candidates = np.append(np.arange(lo, game.p_max, grid_step), game.p_max)
+        profiles = np.tile(p, (candidates.size, 1))
+        profiles[:, i] = candidates
+        best = float(np.min(ratio(i, profiles)))
+        if ratio(i, p) > best + VALUED_RTOL * max(1.0, best):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("grid_step", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("check", [lambda g, s: is_valued_se(g, [0.2, 0.2], s),
+                                   enumerate_grid], ids=["is_valued_se", "enumerate_grid"])
+def test_grid_step_must_be_positive_and_finite(g0, check, grid_step):
+    with pytest.raises(ValueError, match="grid_step"):
+        check(g0, grid_step)
 
 
 class TestAnalyze:

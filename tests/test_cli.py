@@ -316,10 +316,11 @@ SWEEP = ["--from", "0", "--to", "1", "--steps", "2"]
     "scenario,argv,message",
     [
         (FOUR_PLAYERS, ["region", "--grid", "10"], "supports n <= 3, got n = 4"),
+        (THREE_PLAYER, ["region", "--grid", "500"], "125751501 points exceeds the 100000000"),
         (THREE_PLAYER, ["sweep", "--param", "a12", *SWEEP], "two-player scenarios only"),
         (G0_DICT, ["sweep", "--param", "bogus", *SWEEP], "unknown parameter 'bogus'"),
     ],
-    ids=["region-n4", "sweep-n3", "sweep-bogus"],
+    ids=["region-n4", "region-budget", "sweep-n3", "sweep-bogus"],
 )
 def test_unsupported_input_is_input_error(capsys, tmp_path, scenario, argv, message):
     out = tmp_path / "out.csv"

@@ -8,13 +8,11 @@ from segic import (
     RawChannel,
     game_from_raw,
     interference,
-    is_satisfied,
-    min_satisfying_power,
     min_satisfying_powers,
     normalize,
     raw_utility,
+    satisfied_mask,
     utilities,
-    utility,
 )
 
 
@@ -41,16 +39,16 @@ class TestNormalize:
 
 class TestUtility:
     def test_zero_power_gives_zero_rate(self, g0):
-        assert utility(g0, 0, [0.0, 0.7]) == 0.0
+        assert utilities(g0, [0.0, 0.7])[0] == 0.0
 
     def test_hand_evaluation(self, g0):
         # interference 0.5*0.2 + 0.1 = 0.2, so u = 0.5*log2(2) = 0.5
-        assert utility(g0, 0, [0.2, 0.2]) == pytest.approx(0.5, abs=1e-15)
+        assert utilities(g0, [0.2, 0.2])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_full_power_point(self, g0):
         expected = float(0.5 * mpmath.log(1 + mpmath.mpf(1) / mpmath.mpf("0.6"), 2))
-        assert utility(g0, 0, [1.0, 1.0]) == pytest.approx(expected, abs=1e-14)
-        assert utility(g0, 0, [1.0, 1.0]) == pytest.approx(0.70752, abs=5e-6)
+        assert utilities(g0, [1.0, 1.0])[0] == pytest.approx(expected, abs=1e-14)
+        assert utilities(g0, [1.0, 1.0])[0] == pytest.approx(0.70752, abs=5e-6)
 
 
 class TestMinSatisfyingPower:
@@ -58,34 +56,34 @@ class TestMinSatisfyingPower:
         game = GameSpec(
             attenuation=g0.attenuation, noise=g0.noise, thresholds=[0.0, 0.0], p_max=1.0
         )
-        assert min_satisfying_power(game, 0, [0.73]) == 0.0
+        assert min_satisfying_powers(game, [0.0, 0.73])[0] == 0.0
 
     def test_hand_evaluation(self, g0):
-        assert min_satisfying_power(g0, 0, [0.2]) == pytest.approx(0.2, abs=1e-15)
+        assert min_satisfying_powers(g0, [0.0, 0.2])[0] == pytest.approx(0.2, abs=1e-15)
         # the returned power meets the threshold exactly
-        assert utility(g0, 0, [0.2, 0.2]) == pytest.approx(g0.thresholds[0], abs=1e-12)
+        assert utilities(g0, [0.2, 0.2])[0] == pytest.approx(g0.thresholds[0], abs=1e-12)
 
     def test_interference_free_floor(self, g0):
-        assert min_satisfying_power(g0, 0, [0.0]) == pytest.approx(0.1, abs=1e-15)
+        assert min_satisfying_powers(g0, [0.0, 0.0])[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_may_exceed_p_max(self, g0):
         game = GameSpec(
             attenuation=g0.attenuation, noise=g0.noise, thresholds=[3.0, 3.0], p_max=1.0
         )
-        assert min_satisfying_power(game, 0, [1.0]) > game.p_max
+        assert min_satisfying_powers(game, [0.0, 1.0])[0] > game.p_max
 
 
 class TestIsSatisfied:
     def test_ese_boundary(self, g0):
-        assert is_satisfied(g0, 0, [0.2, 0.2])
-        assert is_satisfied(g0, 1, [0.2, 0.2])
+        assert satisfied_mask(g0, [0.2, 0.2])[0]
+        assert satisfied_mask(g0, [0.2, 0.2])[1]
 
     def test_zero_profile_unsatisfied(self, g0):
-        assert not is_satisfied(g0, 0, [0.0, 0.0])
-        assert not is_satisfied(g0, 1, [0.0, 0.0])
+        assert not satisfied_mask(g0, [0.0, 0.0])[0]
+        assert not satisfied_mask(g0, [0.0, 0.0])[1]
 
     def test_silent_player_unsatisfied(self, g0):
-        assert not is_satisfied(g0, 1, [1.0, 0.0])
+        assert not satisfied_mask(g0, [1.0, 0.0])[1]
 
 
 class TestGameSpecValidation:
@@ -154,11 +152,11 @@ class TestProperties:
             for i in range(n):
                 up = p.copy()
                 up[i] += eps
-                assert utility(game, i, up) > utility(game, i, p)
+                assert utilities(game, up)[i] > utilities(game, p)[i]
                 j = (i + 1) % n
                 upj = p.copy()
                 upj[j] += eps
-                assert utility(game, i, upj) < utility(game, i, p)
+                assert utilities(game, upj)[i] < utilities(game, p)[i]
 
     def test_satisfaction_matches_floor_comparison(self):
         rng = np.random.default_rng(44)
@@ -168,7 +166,7 @@ class TestProperties:
             p = rng.uniform(0.0, 10.0, 2)
             for i in range(2):
                 floor = min_satisfying_powers(game, p)[i]
-                assert is_satisfied(game, i, p) == (p[i] >= floor - 1e-9 * max(1.0, floor))
+                assert satisfied_mask(game, p)[i] == (p[i] >= floor - 1e-9 * max(1.0, floor))
 
     def test_utility_at_floor_hits_threshold(self):
         rng = np.random.default_rng(45)
@@ -180,7 +178,7 @@ class TestProperties:
             for i in range(3):
                 q = p.copy()
                 q[i] = floors[i]
-                assert abs(utility(game, i, q) - game.thresholds[i]) < 1e-10
+                assert abs(utilities(game, q)[i] - game.thresholds[i]) < 1e-10
 
 
 @pytest.mark.xfail(strict=True, reason="p @ a - p + noise cancels a cross term below the "

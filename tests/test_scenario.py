@@ -76,6 +76,17 @@ class TestLoadScenario:
             scenario_from_dict(data)
 
 
+RAW = {k: v for k, v in G0_DICT.items() if k not in ("a", "noise")}
+RAW.update(h=[[2.0, 1.0], [1.0, 2.0]], awgn=0.2)
+
+
+@pytest.mark.parametrize("field", ["schema_version", "n", "p_max", "awgn"])
+@pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "str", "null"])
+def test_scalar_field_must_be_a_number(field, value):
+    with pytest.raises(ScenarioError, match=f"field {field}: must be a number"):
+        scenario_from_dict(dict(RAW, **{field: value}))
+
+
 class TestRoundTrip:
     def test_raw_to_normalized_round_trip(self, tmp_path, g0):
         data = {
