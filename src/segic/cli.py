@@ -136,6 +136,8 @@ def cmd_sweep(args) -> int:
             f"unknown parameter {args.param!r}; choose from {', '.join(_SWEEP_PARAMS)}"
         )
     values = np.linspace(args.start, args.stop, args.steps)
+    for value in values:  # an invalid swept game fails before the output file is opened
+        _apply_param(game, args.param, float(value))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, "exists", "ese_1", "ese_2", "ese_in_box", "mposa"])

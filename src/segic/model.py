@@ -91,7 +91,7 @@ class GameSpec:
                 f"noise/thresholds must have length {n}, got "
                 f"{noise.shape[0]} and {thresholds.shape[0]}"
             )
-        if not np.allclose(np.diag(a), 1.0, rtol=0.0, atol=1e-12):
+        if not np.all(np.abs(np.diag(a) - 1.0) <= 1e-12):  # entries are finite: no NaN case
             raise InvalidInputError("attenuation diagonal must be 1")
         off = a[~np.eye(n, dtype=bool)]
         if np.any(off < 0.0):

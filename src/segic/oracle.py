@@ -9,13 +9,15 @@ values of p_n form one interval: player n's floor bounds it below and the
 other players' rearranged inequalities bound it above. The scan walks the
 m^(n-1) slices, places each interval's ends from those inequalities, and
 runs the per-point predicate `_classify` only on narrow bands of rows
-around them. ESE and VSE candidates can only sit at the low end of an
-interval, inside the lower band: above it, player n can step down one grid
-step, stay satisfied and lower its ratio. A slice is classified by
-`_classify` on every row when rounding could blur its ends by a grid row,
-when that ratio drop is not safely above SAT_TOL, or when its bands
-disagree with the predicted ends. The result is the same, bit for bit, as
-classifying every grid point.
+around them; the rows between the bands are SE points without a test. ESE
+and VSE candidates can only sit at the low end of an interval, below row
+kC of the lower band: above it, player n can step down one grid step, stay
+satisfied and lower its ratio, so the candidate tests run only there. A
+slice is classified by `_classify` on every row, candidate tests included,
+when rounding could blur its ends by a grid row, when that ratio drop is
+not safely above SAT_TOL, or when its bands disagree with the predicted
+ends. The result is the same, bit for bit, as classifying every grid
+point.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .model import GameSpec, SAT_TOL
 
 MAX_GRID_POINTS = 10**8
+_EPS = np.finfo(float).eps
 
 
 class ResourceLimitError(RuntimeError):
@@ -82,20 +85,17 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ends = _slice_ends(game, axis, prefix, grid_step)  # non-finite ends fall back
     while True:
-        s, k, banded = _rows(ends, m)
-        s_band, k_band = s[banded], k[banded]
-        P = _points(prefix, axis, s_band, k_band)
-        sat, se, ese, vse = _classify(game, P, grid_step)
-        wrong = _contradicted(ends, sat, s_band, k_band)
+        runs, s, k = _rows(ends, m)
+        P = _points(prefix, axis, s, k)
+        cand = ends.fallback[s] | (k < ends.kC[s])  # rows that can hold a candidate
+        sat, se, ese, vse = _classify(game, P, grid_step, cand)
+        wrong = _contradicted(ends, sat, s, k)
         if wrong.size == 0:
             break
         ends.fallback[wrong] = True
 
-    keep = ~banded
-    keep[banded] = se
-    s = s[keep]
-    se_points = _points(prefix, axis, s, k[keep])
-    g_best, g_worst = _extremes(se_points, s)
+    se_points, counts = _se_points(prefix, axis, runs, k, se)
+    g_best, g_worst = _extremes(se_points, counts)
     return OracleResult(
         grid_step=float(grid_step),
         se_points=se_points,
@@ -106,38 +106,46 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
     )
 
 
-def _classify(game: GameSpec, P: np.ndarray, grid_step: float):
+def _classify(game: GameSpec, P: np.ndarray, grid_step: float, cand: np.ndarray):
     """The per-point SE predicate and candidate tests on the rows of P.
 
     Returns the per-player satisfaction matrix and the SE, ESE-candidate and
-    VSE-candidate masks over the rows.
+    VSE-candidate masks over the rows. The candidate tests run only on the
+    SE rows that `cand` marks; every other row is no candidate.
     """
     inter = P @ game.attenuation - P + game.noise  # interference + noise per receiver
     floors = game.gamma_factor * inter
     sat = P >= floors - SAT_TOL
-    se = np.all(sat, axis=1)
+    se = _all_columns(sat)
+    test = se & cand
     ese = np.zeros_like(se)
     vse = np.zeros_like(se)
-    P = P[se]
-    inter = inter[se]
-    floors = floors[se]
+    P = P[test]
+    inter = inter[test]
+    floors = floors[test]
 
-    ese[se] = np.all(P <= floors + grid_step + SAT_TOL, axis=1)
+    ese[test] = _all_columns(P <= floors + grid_step + SAT_TOL)
 
+    # every player's one-step moves at once: entry (row, i) moves player i
+    ratio_here = _ratio(P, inter)
     valued = np.ones(P.shape[0], dtype=bool)
-    for i in range(game.n):
-        ratio_here = _ratio(P[:, i], inter[:, i])
-        for move in (-grid_step, grid_step):
-            q = P[:, i] + move
-            ok = (q >= -SAT_TOL) & (q <= game.p_max + SAT_TOL)
-            ok &= q >= floors[:, i] - SAT_TOL  # deviation must stay satisfying
-            if not np.any(ok):
-                continue
-            better = np.zeros_like(ok)
-            better[ok] = _ratio(q[ok], inter[ok, i]) < ratio_here[ok] - SAT_TOL
-            valued &= ~better
-    vse[se] = valued
+    for move in (-grid_step, grid_step):
+        q = P + move
+        ok = (q >= -SAT_TOL) & (q <= game.p_max + SAT_TOL)
+        ok &= q >= floors - SAT_TOL  # deviation must stay satisfying
+        better = np.zeros_like(ok)
+        better[ok] = _ratio(q[ok], inter[ok]) < ratio_here[ok] - SAT_TOL
+        valued &= _all_columns(~better)
+    vse[test] = valued
     return sat, se, ese, vse
+
+
+def _all_columns(mask: np.ndarray) -> np.ndarray:
+    """mask.all(axis=1), one column at a time: numpy reduces a short last axis slowly."""
+    out = np.ones(mask.shape[0], dtype=bool)
+    for column in mask.T:
+        out &= column
+    return out
 
 
 def _ratio(p: np.ndarray, inter: np.ndarray) -> np.ndarray:
@@ -163,18 +171,50 @@ def _points(prefix: np.ndarray, axis: np.ndarray, s: np.ndarray, k: np.ndarray) 
     return P
 
 
-def _extremes(points: np.ndarray, s: np.ndarray):
+def _se_points(prefix: np.ndarray, axis: np.ndarray, runs: np.ndarray, k: np.ndarray,
+               se: np.ndarray):
+    """All SE points in lexicographic order, with each slice's count of them.
+
+    Slice by slice they are the SE rows of the lower band, the interior run
+    [a1, b1) and the SE rows of the upper band. Each SE band row is a run of
+    one, so p_n comes from one ragged arange over the ordered runs.
+    """
+    a0, a1, b1, c0, c1 = runs
+    lower, upper = a1 - a0, c1 - c0
+    seen = np.r_[0, np.cumsum(se)]  # SE rows among the band rows before each band row
+    stop = np.cumsum(lower + upper)  # band rows up to each slice's end
+    counts = seen[stop] - seen[stop - lower - upper] + (b1 - a1)
+    before = seen[stop - upper]  # SE band rows ahead of each slice's interior
+    k_se = k[se]
+    kn = _ragged_arange(np.insert(k_se, before, a1),
+                        np.insert(np.ones_like(k_se), before, b1 - a1))
+    P = np.empty((kn.size, prefix.shape[1] + 1))
+    for j in range(prefix.shape[1]):
+        P[:, j] = np.repeat(prefix[:, j], counts)
+    P[:, -1] = axis[kn]
+    return P, counts
+
+
+def _ragged_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The runs starts[r], starts[r] + 1, ..., starts[r] + lens[r] - 1, end to end."""
+    out = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    out += np.arange(out.size)  # in place: one array fewer to allocate and fill
+    return out
+
+
+def _extremes(points: np.ndarray, counts: np.ndarray):
     """The rows at the first argmin and the first argmax of points.sum(axis=1).
 
-    Within a slice a row's sum cannot fall as p_n grows, so the first least
-    sum is the first row of some slice, and the first greatest sum lies in
-    the first slice whose last row has the greatest sum; only those rows
-    are summed.
+    `counts` holds the rows of each slice. Within a slice a row's sum cannot
+    fall as p_n grows, so the first least sum is the first row of some
+    slice, and the first greatest sum lies in the first slice whose last row
+    has the greatest sum; only those rows are summed.
     """
-    if not s.size:
+    counts = counts[counts > 0]
+    if not counts.size:
         return None, None
-    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    last = np.r_[first[1:], s.size] - 1
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
     g_best = points[first[int(np.argmin(points[first].sum(axis=1)))]]
     top = int(np.argmax(points[last].sum(axis=1)))
     block = points[first[top]:last[top] + 1]
@@ -203,7 +243,7 @@ class _Ends:
 
 def _rounding(n: int) -> float:
     """Relative rounding of the floors `_classify` compares and of values derived from them."""
-    return 4 * (n + 4) * np.finfo(float).eps
+    return 4 * (n + 4) * _EPS
 
 
 def _floor_error(game: GameSpec, size, at_cap):
@@ -266,10 +306,10 @@ def _slice_ends(game: GameSpec, axis: np.ndarray, prefix: np.ndarray, step: floa
     kC = np.searchsorted(axis, cand, side="right")
 
     def below(k, x):  # every row up to k lies below x (vacuous if none)
-        return (k < 0) | (axis[np.clip(k, 0, m - 1)] < x)
+        return (k < 0) | (axis[np.minimum(np.maximum(k, 0), m - 1)] < x)
 
     def above(k, x):  # every row from k up lies above x (vacuous if none)
-        return (k >= m) | (axis[np.clip(k, 0, m - 1)] > x)
+        return (k >= m) | (axis[np.minimum(np.maximum(k, 0), m - 1)] > x)
 
     ok = below(kL - 2, lo - lo_err) & above(kL + 1, lo + lo_err)
     ok &= below(kU - 2, hi_lo) & above(kU + 1, hi_hi)
@@ -298,27 +338,26 @@ def _ratio_falls(axis, step, p_max, inter, inter_err, slack) -> np.ndarray:
 
 
 def _rows(ends: _Ends, m: int):
-    """Rows to scan, slice by slice: lower band, interior, upper band.
+    """Each slice's row segments and the band rows `_classify` decides.
 
-    Returns each row's slice and p_n index, and whether `_classify` decides
-    it (band rows) or the inequalities make it an SE point (interior rows).
-    The lower band runs from two rows below kL to the end of the candidates
-    (at least kL + 2), the upper band from kU - 2 to kU + 2, so both hold a
-    row on each side of their end; a fallback slice is all band.
+    A slice runs a lower band [a0, a1), an interior [a1, b1) that the
+    inequalities make SE points, and an upper band [c0, c1). The lower band
+    runs from two rows below kL to the end of the candidates (at least
+    kL + 2), the upper band from kU - 2 to kU + 2, so both hold a row on
+    each side of their end; a fallback slice is all lower band. Returns the
+    bounds (a0, a1, b1, c0, c1) and each band row's slice and p_n index,
+    slice by slice, lower band first.
     """
     kL, kU, fb = ends.kL, ends.kU, ends.fallback
-    a0 = np.where(fb, 0, np.clip(kL - 2, 0, m))
-    a1 = np.where(fb, m, np.clip(np.maximum(ends.kC, kL + 2), a0, m))
-    c0 = np.maximum(np.clip(kU - 2, 0, m), a1)
-    c1 = np.where(fb, m, np.maximum(np.clip(kU + 2, 0, m), c0))
+    a0 = np.where(fb, 0, np.maximum(kL - 2, 0))
+    a1 = np.where(fb, m, np.minimum(np.maximum(ends.kC, kL + 2), m))
+    c0 = np.maximum(kU - 2, a1)
+    c1 = np.where(fb, m, np.maximum(np.minimum(kU + 2, m), c0))
     b1 = np.where(ends.interior & ~fb, c0, a1)
-    starts = np.stack([a0, a1, c0], axis=1).ravel()
-    lens = np.stack([a1 - a0, b1 - a1, c1 - c0], axis=1).ravel()
-    stops = np.cumsum(lens)
-    k = np.arange(stops[-1]) + np.repeat(starts - (stops - lens), lens)
-    s = np.repeat(np.arange(kL.size), lens.reshape(-1, 3).sum(axis=1))
-    banded = np.repeat(np.tile([True, False, True], kL.size), lens)
-    return s, k, banded
+    k = _ragged_arange(np.stack([a0, c0], axis=1).ravel(),
+                       np.stack([a1 - a0, c1 - c0], axis=1).ravel())
+    s = np.repeat(np.arange(kL.size), (a1 - a0) + (c1 - c0))
+    return np.stack([a0, a1, b1, c0, c1]), s, k
 
 
 def _contradicted(ends: _Ends, sat: np.ndarray, s: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -331,7 +370,7 @@ def _contradicted(ends: _Ends, sat: np.ndarray, s: np.ndarray, k: np.ndarray) ->
     """
     lo, hi = ends.kL[s], ends.kU[s]
     own = sat[:, -1]
-    others = np.all(sat[:, :-1][:, ends.bounding], axis=1)
+    others = _all_columns(sat[:, :-1][:, ends.bounding])
     bad = ((k <= lo - 2) & own) | ((k >= lo + 1) & ~own)
     bad |= ((k <= hi - 2) & ~others) | ((k >= hi + 1) & others)
     return np.unique(s[bad & ~ends.fallback[s]])

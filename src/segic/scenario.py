@@ -12,6 +12,8 @@ import json
 import numbers
 from pathlib import Path
 
+import numpy as np
+
 from .model import GameSpec, InvalidInputError, RawChannel, game_from_raw
 
 SCHEMA_VERSION = 1
@@ -33,6 +35,37 @@ def load_scenario(path) -> tuple[GameSpec, dict]:
     return scenario_from_dict(data)
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float: no boolean, no integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _array(data: dict, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An array field of shape (n,) or (n, n) as floats; every error names the field."""
+    value = data[field]
+    n = shape[0]
+    rows = value if len(shape) == 2 else [value]
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in rows):
+        what = f"{n} lists of {n} numbers" if len(shape) == 2 else f"a list of {n} numbers"
+        raise ScenarioError(f"field {field}: must be {what}, got {value!r}")
+    if len(value) != n or any(len(row) != n for row in rows):
+        raise ScenarioError(f"field {field}: shape does not match n = {n}")
+    for kind in {type(x) for row in rows for x in row}:  # one test per type, not per entry
+        if kind is bool or not issubclass(kind, numbers.Real):
+            bad = next(x for row in rows for x in row if type(x) is kind)
+            raise ScenarioError(f"field {field}: entries must be numbers, got {bad!r}")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ScenarioError(f"field {field}: an entry is beyond the float range") from None
+
+
 def scenario_from_dict(data) -> tuple[GameSpec, dict]:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -44,7 +77,7 @@ def scenario_from_dict(data) -> tuple[GameSpec, dict]:
             raise ScenarioError(f"missing field: {field}")
     for field in ("schema_version", "n", "p_max", "awgn"):
         value = data.get(field, 0)  # awgn is absent from the normalized form
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_number(value):
             raise ScenarioError(f"field {field}: must be a number, got {value!r}")
     if data["schema_version"] != SCHEMA_VERSION:
         raise ScenarioError(
@@ -53,6 +86,8 @@ def scenario_from_dict(data) -> tuple[GameSpec, dict]:
     n = data["n"]
     if not isinstance(n, int) or n < 1:
         raise ScenarioError(f"field n: must be an integer >= 1, got {n!r}")
+    if not isinstance(data.get("labels", []), list):
+        raise ScenarioError(f"field labels: must be a list, got {data['labels']!r}")
 
     has_normalized = "a" in data or "noise" in data
     has_raw = "h" in data or "awgn" in data
@@ -67,27 +102,21 @@ def scenario_from_dict(data) -> tuple[GameSpec, dict]:
     else:
         raise ScenarioError("missing channel: provide a/noise or h/awgn")
 
+    gammas = _array(data, "gammas", (n,))
+    p_max = float(data["p_max"])
     try:
         if has_raw:
-            raw = RawChannel(h=data["h"], awgn=data["awgn"])
-            if raw.n != n:
-                raise ScenarioError(f"field h: shape does not match n = {n}")
-            game = game_from_raw(raw, data["gammas"], data["p_max"])
+            raw = RawChannel(h=_array(data, "h", (n, n)), awgn=float(data["awgn"]))
+            game = game_from_raw(raw, gammas, p_max)
         else:
             game = GameSpec(
-                attenuation=data["a"],
-                noise=data["noise"],
-                thresholds=data["gammas"],
-                p_max=data["p_max"],
+                attenuation=_array(data, "a", (n, n)),
+                noise=_array(data, "noise", (n,)),
+                thresholds=gammas,
+                p_max=p_max,
             )
-            if game.n != n:
-                raise ScenarioError(f"field a: shape does not match n = {n}")
     except InvalidInputError as exc:
         raise ScenarioError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"invalid numeric data: {exc}") from exc
 
     meta = {"labels": data.get("labels")}
     return game, meta

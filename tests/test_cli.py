@@ -319,8 +319,14 @@ SWEEP = ["--from", "0", "--to", "1", "--steps", "2"]
         (THREE_PLAYER, ["region", "--grid", "500"], "125751501 points exceeds the 100000000"),
         (THREE_PLAYER, ["sweep", "--param", "a12", *SWEEP], "two-player scenarios only"),
         (G0_DICT, ["sweep", "--param", "bogus", *SWEEP], "unknown parameter 'bogus'"),
+        # the last swept value is invalid: no row may be written before it
+        (G0_DICT, ["sweep", "--param", "p_max", "--from", "2", "--to", "0", "--steps", "3"],
+         r"p_max = 0\.0 must be positive and finite"),
+        (G0_DICT, ["sweep", "--param", "gamma_1", "--from", "0.5", "--to", "600", "--steps", "3"],
+         r"thresholds\[0\] = 600\.0 overflows"),
     ],
-    ids=["region-n4", "region-budget", "sweep-n3", "sweep-bogus"],
+    ids=["region-n4", "region-budget", "sweep-n3", "sweep-bogus", "sweep-p_max-zero",
+         "sweep-gamma-overflow"],
 )
 def test_unsupported_input_is_input_error(capsys, tmp_path, scenario, argv, message):
     out = tmp_path / "out.csv"

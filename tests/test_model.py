@@ -105,6 +105,23 @@ class TestGameSpecValidation:
                 p_max=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "diagonal,accepted",
+        # 1 + 1e-12 is stored as 1 + 1.00009e-12, just past the tolerance
+        [(1.0 - 1e-12, True), (1.0 + 1e-12, False), (1.0 - 2e-12, False), (1.0 + 2e-12, False),
+         (1.0 + 9e-13, True)],
+    )
+    def test_diagonal_tolerance(self, diagonal, accepted):
+        def build():
+            return GameSpec(attenuation=[[diagonal, 0.5], [0.5, 1.0]], noise=[0.1, 0.1],
+                            thresholds=[0.5, 0.5], p_max=1.0)
+
+        if accepted:
+            assert build().attenuation[0, 0] == 1.0
+        else:
+            with pytest.raises(InvalidInputError, match="attenuation diagonal must be 1"):
+                build()
+
     def test_nonpositive_noise_rejected(self):
         with pytest.raises(InvalidInputError, match=r"noise\[1\]"):
             GameSpec(

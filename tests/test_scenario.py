@@ -87,6 +87,41 @@ def test_scalar_field_must_be_a_number(field, value):
         scenario_from_dict(dict(RAW, **{field: value}))
 
 
+# every array field, in the channel form that carries it, with its expected shape
+ARRAY_FIELDS = [(G0_DICT, "a", "2 lists of 2 numbers"), (G0_DICT, "noise", "a list of 2 numbers"),
+                (G0_DICT, "gammas", "a list of 2 numbers"), (RAW, "h", "2 lists of 2 numbers")]
+
+
+def _with_first_entry(value, entry):
+    if isinstance(value[0], list):
+        return [_with_first_entry(value[0], entry)] + value[1:]
+    return [entry] + value[1:]
+
+
+@pytest.mark.parametrize("data,field,shape", ARRAY_FIELDS, ids=[f for _, f, _ in ARRAY_FIELDS])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (lambda v: _with_first_entry(v, True), "entries must be numbers, got True"),
+        (lambda v: _with_first_entry(v, "1"), "entries must be numbers, got '1'"),
+        (lambda v: _with_first_entry(v, 10**400), "an entry is beyond the float range"),
+        (lambda v: "abc", "must be {shape}, got 'abc'"),
+        (lambda v: True, "must be {shape}, got True"),
+        (lambda v: v[:1], "shape does not match n = 2"),
+    ],
+    ids=["bool", "str-entry", "huge-int", "str", "scalar", "short"],
+)
+def test_array_field_error_names_the_field(data, field, shape, bad, message):
+    with pytest.raises(ScenarioError, match=f"^field {field}: {message.format(shape=shape)}"):
+        scenario_from_dict(dict(data, **{field: bad(data[field])}))
+
+
+@pytest.mark.parametrize("labels", [5, "tx1", None, {"tx": 1}], ids=str)
+def test_labels_must_be_a_list(labels):
+    with pytest.raises(ScenarioError, match="field labels: must be a list"):
+        scenario_from_dict(dict(G0_DICT, labels=labels))
+
+
 class TestRoundTrip:
     def test_raw_to_normalized_round_trip(self, tmp_path, g0):
         data = {
