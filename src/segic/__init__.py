@@ -9,7 +9,6 @@ from .model import (
     interference,
     min_satisfying_powers,
     normalize,
-    raw_utility,
     satisfied_mask,
     utilities,
 )

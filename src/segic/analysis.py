@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 
 import numpy as np
 
@@ -156,18 +157,28 @@ def analyze(game: GameSpec) -> EquilibriumReport:
 
 
 def satisfaction_response_iterates(game: GameSpec, p0, tol: float = 1e-9):
-    """Yield (p, converged) after each synchronous satisfaction-response round.
+    """Iterator of (p, converged) after each synchronous satisfaction-response round.
 
     Every round each player jumps to its minimal satisfying power against
     the current profile, clipped to the box. The first round that moves no
     power by tol or more is yielded with converged True and is the last.
+    Each round is a fresh array. tol and p0 are checked here, not at the
+    first round.
     """
     if not tol > 0.0:
-        raise ValueError("tol must be > 0")
-    p = validate_profile(game, p0)
+        raise ValueError(f"tol = {tol} must be > 0")
+    return _rounds(game, validate_profile(game, p0), tol)
+
+
+def _rounds(game: GameSpec, p: np.ndarray, tol: float):
+    cap = np.full(game.n, game.p_max)  # np.minimum against an array skips scalar conversion
+    step = np.empty(game.n)
     while True:
-        nxt = np.minimum(min_satisfying_powers(game, p), game.p_max)
-        converged = bool(np.max(np.abs(nxt - p)) < tol)
+        nxt = min_satisfying_powers(game, p)
+        np.minimum(nxt, cap, out=nxt)
+        np.subtract(nxt, p, out=step)
+        np.absolute(step, out=step)
+        converged = bool(np.maximum.reduce(step) < tol)  # np.max without its wrapper
         p = nxt
         yield p, converged
         if converged:
@@ -182,12 +193,14 @@ def satisfaction_response_dynamics(
 ) -> tuple[np.ndarray, int, bool]:
     """At most max_iters rounds of `satisfaction_response_iterates`.
 
-    Returns the last profile, the rounds run and whether they converged.
+    Returns the last profile, the rounds run (an int) and whether they
+    converged. max_iters must be an integer >= 1; a bool is rejected.
     From the zero profile the iterates are componentwise nondecreasing and
     converge to the ESE whenever it lies in the box.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 1:
+        raise ValueError(f"max_iters = {max_iters!r} must be an integer >= 1")
+    max_iters = int(max_iters)
     rounds = islice(satisfaction_response_iterates(game, p0, tol), max_iters)
     for k, (p, converged) in enumerate(rounds, 1):
         if converged:

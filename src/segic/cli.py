@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from dataclasses import replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -163,24 +163,24 @@ def cmd_dynamics(args) -> int:
         raise InvalidInputError("--max-iters must be >= 1")
     game, _ = load_scenario(args.scenario)
     p = np.zeros(game.n)
-    powers = [p]
     rounds = analysis.satisfaction_response_iterates(game, p, tol=args.tol)
-    for p, converged in islice(rounds, args.max_iters):
-        powers.append(p)
-    rates = utilities(game, np.array(powers))
-
+    rounds = enumerate(islice(rounds, args.max_iters), 1)
+    # no round is kept past its own row, so memory does not grow with --max-iters
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration"] + [f"{c}{i + 1}" for c in "pu" for i in range(game.n)])
-            for k, (ps, us) in enumerate(zip(powers, rates)):
-                writer.writerow([k] + [_fmt(v) for v in ps] + [_fmt(v) for v in us])
+            for k, (p, converged) in chain([(0, (p, False))], rounds):  # row 0: the start
+                writer.writerow([k] + [_fmt(v) for v in p] + [_fmt(v) for v in utilities(game, p)])
+    else:
+        for k, (p, converged) in rounds:
+            pass
 
     is_se = analysis.is_satisfaction_equilibrium(game, p, tol=args.tol)
     print(f"converged: {'true' if converged else 'false'}")
-    print(f"iterations: {len(powers) - 1}")
+    print(f"iterations: {k}")
     print(f"final: {' '.join(_fmt(v) for v in p)}")
-    print(f"utilities: {' '.join(_fmt(v) for v in rates[-1])}")
+    print(f"utilities: {' '.join(_fmt(v) for v in utilities(game, p))}")
     print(f"is_se: {'true' if is_se else 'false'}")
     return 0
 

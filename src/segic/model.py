@@ -161,10 +161,14 @@ def interference(game: GameSpec, p) -> np.ndarray:
 
     p is a profile or a stack of them (players last). Each row takes its own
     vector-times-matrix product, so it gets its single-call bits; one
-    (N, n) @ (n, n) product rounds differently for n >= 4.
+    (N, n) @ (n, n) product rounds differently for n >= 4. The product is a
+    fresh array, so the subtraction and the noise go into it in place.
     """
     p = np.asarray(p, dtype=float)
-    return (p[..., np.newaxis, :] @ game.attenuation)[..., 0, :] - p + game.noise
+    out = (p[..., np.newaxis, :] @ game.attenuation)[..., 0, :]
+    out -= p
+    out += game.noise
+    return out
 
 
 def utilities(game: GameSpec, p) -> np.ndarray:
@@ -173,20 +177,15 @@ def utilities(game: GameSpec, p) -> np.ndarray:
     return 0.5 * np.log2(1.0 + p / interference(game, p))
 
 
-def raw_utility(raw: RawChannel, i: int, p) -> float:
-    """Rate of player i computed directly from raw gains (pre-normalization form)."""
-    p = np.asarray(p, dtype=float)
-    others = p * raw.h[:, i]
-    denom = others.sum() - others[i] + raw.awgn
-    return float(0.5 * np.log2(1.0 + raw.h[i, i] * p[i] / denom))
-
-
 def min_satisfying_powers(game: GameSpec, p) -> np.ndarray:
     """Least power of each player reaching its threshold, others fixed at p.
 
-    Entries may exceed p_max; callers decide feasibility.
+    Entries may exceed p_max; callers decide feasibility. The result is a
+    fresh array.
     """
-    return game.gamma_factor * interference(game, p)
+    out = interference(game, p)
+    out *= game.gamma_factor
+    return out
 
 
 def satisfied_mask(game: GameSpec, p, tol: float = SAT_TOL) -> np.ndarray:

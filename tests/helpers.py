@@ -1,11 +1,16 @@
-"""Shared random-game samplers for the property and acceptance suites."""
+"""Shared random-game samplers and references for the property and acceptance suites."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from segic import GameSpec, exists_two_player, solve_ese
+from segic import GameSpec, RawChannel, exists_two_player, solve_ese
 from segic.analysis import NoEquilibriumError
 
 P_MAX = 10.0
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _log_uniform(rng, lo, hi, size):
@@ -42,6 +47,14 @@ def weak_coupling_two_player(rng, p_max=P_MAX) -> GameSpec:
     )
 
 
+def raw_utility(raw: RawChannel, i: int, p) -> float:
+    """Rate of player i from raw gains, the pre-normalization reference for `utilities`."""
+    p = np.asarray(p, dtype=float)
+    others = p * raw.h[:, i]
+    denom = others.sum() - others[i] + raw.awgn
+    return float(0.5 * np.log2(1.0 + raw.h[i, i] * p[i] / denom))
+
+
 def try_ese(game: GameSpec):
     try:
         return solve_ese(game)
@@ -60,3 +73,23 @@ def draw_feasible_in_box(rng, count, draw=weak_coupling_two_player):
         if np.all(ese <= game.p_max):
             games.append((game, ese))
     return games
+
+
+def reference_interference(game: GameSpec, p) -> np.ndarray:
+    """`model.interference` as one out-of-place expression, the bits its kernel must give."""
+    p = np.asarray(p, dtype=float)
+    return (p[..., np.newaxis, :] @ game.attenuation)[..., 0, :] - p + game.noise
+
+
+def reference_min_satisfying_powers(game: GameSpec, p) -> np.ndarray:
+    """`model.min_satisfying_powers` as one out-of-place expression."""
+    return game.gamma_factor * reference_interference(game, p)
+
+
+def perfbench_decks():
+    """The benchmark's deck module, loaded from perfbench/decks.py by path (only read)."""
+    spec = importlib.util.spec_from_file_location("perfbench_decks", ROOT / "perfbench" / "decks.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

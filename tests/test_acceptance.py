@@ -27,7 +27,7 @@ from segic.cli import main
 from segic.analysis import is_satisfaction_equilibrium
 
 from conftest import G0_DICT
-from helpers import draw_feasible_in_box, random_two_player, try_ese
+from helpers import draw_feasible_in_box, random_two_player, raw_utility, try_ese
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ def test_criterion_7_dynamics(g0):
 
 
 def test_criterion_8_normalization_equivalence():
-    from segic import RawChannel, game_from_raw, raw_utility
+    from segic import RawChannel, game_from_raw
 
     rng = np.random.default_rng(8)
     for _ in range(1000):

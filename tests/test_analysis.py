@@ -1,8 +1,11 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from segic import (
     GameSpec,
+    InvalidInputError,
     NoEquilibriumError,
     analyze,
     build_system,
@@ -16,6 +19,7 @@ from segic import (
     is_valued_se,
     min_satisfying_powers,
     satisfaction_response_dynamics,
+    satisfaction_response_iterates,
     satisfied_mask,
     solve_ese,
     utilities,
@@ -197,6 +201,48 @@ class TestDynamics:
                 p = nxt
                 if converged:
                     break
+
+    def test_rounds_are_fresh_clamped_responses(self):
+        rng = np.random.default_rng(17)
+        games = [random_two_player(rng) for _ in range(20)]
+        for n in (1, 3, 6):
+            a = rng.uniform(0.0, 0.5, (n, n))
+            np.fill_diagonal(a, 1.0)
+            games.append(GameSpec(attenuation=a, noise=rng.uniform(0.01, 1.0, n),
+                                  thresholds=rng.uniform(0.0, 1.0, n), p_max=10.0))
+        for game in games:
+            prev = np.zeros(game.n)
+            kept = []
+            for p, _ in islice(satisfaction_response_iterates(game, prev, tol=1e-12), 300):
+                want = np.minimum(min_satisfying_powers(game, prev), game.p_max)
+                assert p.tobytes() == want.tobytes()
+                kept.append((p, p.copy()))
+                prev = p
+            # later rounds never write into an array already handed out
+            for p, copy in kept:
+                assert p.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize(
+        "max_iters", [2.5, True, False, 0, -1, np.float64(3.0), "3", None], ids=repr
+    )
+    def test_max_iters_must_be_an_integer(self, g0, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            satisfaction_response_dynamics(g0, [0.0, 0.0], max_iters=max_iters)
+
+    def test_round_count_is_an_int(self, g0):
+        p, iters, converged = satisfaction_response_dynamics(g0, [0.0, 0.0], max_iters=np.int64(3))
+        assert type(iters) is int and iters == 3 and not converged
+        p, iters, converged = satisfaction_response_dynamics(g0, [0.0, 0.0])
+        assert type(iters) is int and converged
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_iterates_check_tol_when_called(self, g0, tol):
+        with pytest.raises(ValueError, match="tol"):
+            satisfaction_response_iterates(g0, [5.0, 5.0], tol=tol)
+
+    def test_iterates_check_profile_when_called(self, g0):
+        with pytest.raises(InvalidInputError, match="outside"):
+            satisfaction_response_iterates(g0, [5.0, 5.0])
 
 
 class TestPredicates:

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 
 from segic import GameSpec, InvalidInputError, write_scenario
 from segic.cli import _fmt, build_parser, main
-from segic.model import satisfied_mask
+from segic.model import min_satisfying_powers, satisfied_mask, utilities
 
 from conftest import G0_DICT
 
@@ -279,6 +281,42 @@ class TestDynamics:
         assert lines["converged"] == "true"
         assert [float(v) for v in lines["final"].split()] == [1.0, 1.0]
         assert lines["is_se"] == "false"
+
+    def test_untraced_run_keeps_only_the_last_round(self, capsys, tmp_path):
+        # rho = 4**gamma - 1 = sqrt(1 - 1e-6): 50,000 rounds stay far from converged
+        gamma = math.log(1.0 + math.sqrt(1.0 - 1e-6), 4.0)
+        path = write(tmp_path, dict(G0_DICT, a=[[1.0, 1.0], [1.0, 1.0]], noise=[1e-7, 1e-7],
+                                    gammas=[gamma, gamma], p_max=10.0))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "dynamics", path, "--max-iters", "50000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert lines["converged"] == "false" and lines["iterations"] == "50000"
+        assert peak < 1_000_000
+
+    def test_trace_rows_are_single_profile_calls(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.0, 0.3, (5, 5))
+        np.fill_diagonal(a, 1.0)
+        data = dict(G0_DICT, n=5, a=a.tolist(), noise=[0.1] * 5, gammas=[0.3] * 5, p_max=5.0)
+        trace = tmp_path / "trace.csv"
+        code, out, _ = run(capsys, "dynamics", write(tmp_path, data), "--trace", str(trace))
+        assert code == 0
+        game = GameSpec(attenuation=a, noise=data["noise"], thresholds=data["gammas"], p_max=5.0)
+        rows = read_csv(str(trace))[1:]
+        lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert len(rows) == int(lines["iterations"]) + 1
+        p = np.zeros(5)
+        for k, row in enumerate(rows):
+            if k:
+                p = np.minimum(min_satisfying_powers(game, p), game.p_max)
+            assert row == [str(k)] + [_fmt(v) for v in p] + [_fmt(v) for v in utilities(game, p)]
+        assert lines["final"] == " ".join(row[1:6])
+        assert lines["utilities"] == " ".join(row[6:])
 
 
 @pytest.mark.parametrize(

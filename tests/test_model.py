@@ -6,14 +6,16 @@ from segic import (
     GameSpec,
     InvalidInputError,
     RawChannel,
+    cost_ratios,
     game_from_raw,
     interference,
     min_satisfying_powers,
     normalize,
-    raw_utility,
     satisfied_mask,
     utilities,
 )
+
+from helpers import raw_utility, reference_interference, reference_min_satisfying_powers
 
 
 class TestNormalize:
@@ -84,6 +86,45 @@ class TestIsSatisfied:
 
     def test_silent_player_unsatisfied(self, g0):
         assert not satisfied_mask(g0, [1.0, 0.0])[1]
+
+
+def _random_game(rng, n):
+    a = rng.uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(a, 1.0)
+    return GameSpec(attenuation=a, noise=rng.uniform(0.01, 1.0, n),
+                    thresholds=rng.uniform(0.0, 2.0, n), p_max=10.0)
+
+
+class TestInPlaceKernels:
+    """The kernels compute into their own fresh product: same bits, the caller's p untouched."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 100])
+    def test_bits_match_reference_expressions(self, n):
+        rng = np.random.default_rng(n)
+        game = _random_game(rng, n)
+        pairs = (
+            (interference, reference_interference),
+            (min_satisfying_powers, reference_min_satisfying_powers),
+        )
+        for shape in ((n,), (7, n), (2, 3, n)):
+            p = rng.uniform(0.0, 10.0, shape)
+            p[..., 0] = 0.0
+            for kernel, reference in pairs:
+                got, want = kernel(game, p), reference(game, p)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_read_only_profile_unchanged(self, n):
+        rng = np.random.default_rng(100 + n)
+        game = _random_game(rng, n)
+        stack = rng.uniform(0.0, 10.0, (5, n))
+        stack.flags.writeable = False
+        before = stack.copy()
+        for kernel in (interference, min_satisfying_powers, utilities, satisfied_mask, cost_ratios):
+            for p in (stack, stack[2]):
+                kernel(game, p)
+        assert stack.tobytes() == before.tobytes()
 
 
 class TestGameSpecValidation:

@@ -8,10 +8,6 @@ benchmark's verify_2p deck, loaded from perfbench/decks.py (only read),
 must give the exhaustive reference's arrays bit for bit.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +15,8 @@ from hypothesis import given, settings
 from segic import GameSpec, enumerate_grid
 from segic import oracle
 
-from helpers import random_two_player
+from helpers import perfbench_decks, random_two_player
 from test_oracle_identity import assert_identical, small_games
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def band_candidates(game, step):
@@ -84,16 +78,8 @@ def test_no_candidate_from_kC_up_in_small_random_games(case):
     assert band_candidates(game, step)[1] == 0
 
 
-def _decks():
-    spec = importlib.util.spec_from_file_location("perfbench_decks", ROOT / "perfbench" / "decks.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_verify_2p_deck_matches_reference():
-    deck = _decks().verify_deck(1)
+    deck = perfbench_decks().verify_deck(1)
     assert len(deck) == 148
     for op in deck:
         game = GameSpec(attenuation=op.a, noise=op.noise, thresholds=op.gammas, p_max=op.p_max)
