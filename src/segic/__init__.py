@@ -16,9 +16,7 @@ from .analysis import (
     DimensionError,
     EquilibriumReport,
     NoEquilibriumError,
-    SERegionSystem,
     analyze,
-    build_system,
     ese_two_player,
     exists_two_player,
     is_efficient_se,

@@ -1,10 +1,11 @@
 """Satisfaction-equilibrium analysis of GIC power games.
 
-The SE region is the polyhedron A p >= b intersected with the power box,
-where A has unit diagonal and nonpositive off-diagonals. Existence and the
-efficient satisfaction equilibrium (ESE) have closed forms for two players;
-for general N the equality system p_i = (4**gamma_i - 1) * (interference_i)
-yields the componentwise-least point of the quadrant region.
+The SE region is the polyhedron A p >= b that every `GameSpec` carries,
+intersected with the power box; A has unit diagonal and nonpositive
+off-diagonals. Existence and the efficient satisfaction equilibrium (ESE)
+have closed forms for two players; for general N the equality system
+p_i = (4**gamma_i - 1) * (interference_i) yields the componentwise-least
+point of the quadrant region.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ class NoEquilibriumError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SERegionSystem:
-    """Linear system A p >= b describing the SE region, plus the box bound."""
-
-    A: np.ndarray
-    b: np.ndarray
-    p_max: float
-
-
-@dataclass(frozen=True)
 class EquilibriumReport:
     """Existence verdict and ESE diagnostics for one game."""
 
@@ -61,15 +53,6 @@ class EquilibriumReport:
     ese: np.ndarray | None
     ese_in_box: bool
     tightness: np.ndarray | None
-
-
-def build_system(game: GameSpec) -> SERegionSystem:
-    """Assemble A (unit diagonal, A_ij = -gfac_i * a[j, i]) and b_i = gfac_i * noise_i."""
-    gfac = game.gamma_factor
-    off = game.attenuation.T - np.eye(game.n)
-    A = np.eye(game.n) - gfac[:, np.newaxis] * off
-    b = gfac * game.noise
-    return SERegionSystem(A=A, b=b, p_max=game.p_max)
 
 
 def condition_product(game: GameSpec) -> float:
@@ -112,13 +95,12 @@ def ese_two_player(game: GameSpec) -> np.ndarray:
 def solve_ese(game: GameSpec) -> np.ndarray:
     """ESE for any player count via the equality version of the SE system.
 
-    Solves A p = b and accepts the solution iff it is componentwise
+    Solves the game's A p = b and accepts the solution iff it is componentwise
     nonnegative; the sign pattern of A makes that point the least element
     of the quadrant region. Raises NoEquilibriumError otherwise.
     """
-    system = build_system(game)
     try:
-        p = np.linalg.solve(system.A, system.b)
+        p = np.linalg.solve(game.A, game.b)
     except np.linalg.LinAlgError as exc:
         raise NoEquilibriumError(f"singular SE boundary system: {exc}") from exc
     if np.any(p < -POWER_TOL):
@@ -165,8 +147,8 @@ def satisfaction_response_iterates(game: GameSpec, p0, tol: float = 1e-9):
     Each round is a fresh array. tol and p0 are checked here, not at the
     first round.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol = {tol} must be > 0")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol = {tol} must be positive and finite")
     return _rounds(game, validate_profile(game, p0), tol)
 
 
@@ -217,7 +199,7 @@ def is_satisfaction_equilibrium(game: GameSpec, p, tol: float = SAT_TOL) -> bool
 def is_efficient_se(game: GameSpec, p) -> bool:
     """True iff p is an SE and no player can shed power and stay satisfied."""
     p = validate_profile(game, p)
-    if not is_satisfaction_equilibrium(game, p):
+    if not np.all(satisfied_mask(game, p)):
         return False
     return bool(np.all(p <= min_satisfying_powers(game, p) + EFFICIENT_TOL))
 
@@ -234,7 +216,7 @@ def is_valued_se(game: GameSpec, p, grid_step: float) -> bool:
     if not 0.0 < grid_step < np.inf:
         raise ValueError(f"grid_step = {grid_step} must be positive and finite")
     p = validate_profile(game, p)
-    if not is_satisfaction_equilibrium(game, p):
+    if not np.all(satisfied_mask(game, p)):
         return False
     lo = np.minimum(min_satisfying_powers(game, p), game.p_max)
     at_floor = np.where(np.eye(game.n, dtype=bool), lo, p)  # row i: p with p_i = lo_i

@@ -136,13 +136,12 @@ def cmd_sweep(args) -> int:
             f"unknown parameter {args.param!r}; choose from {', '.join(_SWEEP_PARAMS)}"
         )
     values = np.linspace(args.start, args.stop, args.steps)
-    for value in values:  # an invalid swept game fails before the output file is opened
-        _apply_param(game, args.param, float(value))
+    # every swept game is built here, so an invalid one fails before the file is opened
+    games = [_apply_param(game, args.param, float(value)) for value in values]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, "exists", "ese_1", "ese_2", "ese_in_box", "mposa"])
-        for value in values:
-            swept = _apply_param(game, args.param, float(value))
+        for value, swept in zip(values, games):
             report = analysis.analyze(swept)
             row = [_fmt(value), int(report.exists)]
             if report.exists:

@@ -13,7 +13,6 @@ from scipy.optimize import linprog
 from .model import SAT_TOL, GameSpec
 from .analysis import (
     NoEquilibriumError,
-    build_system,
     ese_in_box,
     is_satisfaction_equilibrium,
     solve_ese,
@@ -29,7 +28,7 @@ def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
     only efficient and the only valued SE, and PoE is 1 exactly.
 
     The oracle's scan is checked against `solve_ese` instead. With A p >= b
-    the SE system and w = A^-1 1 (>= 0, A being an M-matrix), the oracle's
+    the game's SE system and w = A^-1 1 (>= 0, A being an M-matrix), the oracle's
     ESE-candidate test reads -SAT_TOL <= A p - b <= step + SAT_TOL, so a
     candidate lies in [ese - SAT_TOL w, ese + (step + SAT_TOL) w]; every SE
     point, so every VSE candidate and g_best, lies above the lower end. A
@@ -40,7 +39,7 @@ def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
         raise NoEquilibriumError("oracle found no satisfaction equilibrium in the box")
     ese = solve_ese(game)
     bounds = np.column_stack([np.ones(game.n), floor_error_bound(game)])
-    w, slack = np.linalg.solve(build_system(game).A, bounds).T
+    w, slack = np.linalg.solve(game.A, bounds).T
     lower = ese - SAT_TOL * w - slack
     upper = ese + (oracle.grid_step + SAT_TOL) * w + slack
     unbounded = np.full(game.n, np.inf)
@@ -71,11 +70,10 @@ def max_price_of_satisfaction(game: GameSpec) -> tuple[float, np.ndarray]:
     full = np.full(game.n, game.p_max)
     if is_satisfaction_equilibrium(game, full):
         return (game.n * game.p_max / total if total > 0.0 else np.inf), full
-    system = build_system(game)
     res = linprog(
         c=-np.ones(game.n),
-        A_ub=-system.A,
-        b_ub=-system.b,
+        A_ub=-game.A,
+        b_ub=-game.b,
         bounds=[(0.0, game.p_max)] * game.n,
         method="highs",
     )

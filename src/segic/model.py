@@ -72,18 +72,28 @@ class GameSpec:
     attenuation[j, i] is the normalized gain from transmitter j to
     receiver i (diagonal fixed to 1), noise[i] the normalized noise at
     receiver i, thresholds[i] the rate target gamma_i (bits/channel use,
-    base-2 log), and p_max the common power cap.
+    base-2 log), and p_max the common power cap. The game keeps its own
+    read-only copies of these arrays.
     """
 
     attenuation: np.ndarray
     noise: np.ndarray
     thresholds: np.ndarray
     p_max: float
-    _gamma_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    # derived once, read-only: the per-player factor 4**gamma_i - 1 of every
+    # SE inequality and the SE system A p >= b (A_ij = -gfac_i * a[j, i] off
+    # the unit diagonal, b_i = gfac_i * noise_i)
+    gamma_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _as_matrix(self.attenuation, "attenuation")
         n = a.shape[0]
+        if n == 0:
+            raise InvalidInputError(
+                f"a game needs at least one player, got attenuation of shape {a.shape}"
+            )
         noise = _as_vector(self.noise, "noise")
         thresholds = _as_vector(self.thresholds, "thresholds")
         if noise.shape != (n,) or thresholds.shape != (n,):
@@ -104,31 +114,31 @@ class GameSpec:
             raise InvalidInputError(f"thresholds[{i}] = {thresholds[i]} must be >= 0")
         if not (np.isfinite(self.p_max) and self.p_max > 0.0):
             raise InvalidInputError(f"p_max = {self.p_max} must be positive and finite")
-        a = a.copy()
-        np.fill_diagonal(a, 1.0)
-        object.__setattr__(self, "attenuation", a)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "p_max", float(self.p_max))
-        # read on every kernel call; gamma >= 512 overflows to inf
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # gamma >= 512 overflows to inf
             gfac = 4.0 ** thresholds - 1.0
         if not np.all(np.isfinite(gfac)):
             i = int(np.argmin(np.isfinite(gfac)))
             raise InvalidInputError(
                 f"thresholds[{i}] = {thresholds[i]} overflows 4**gamma - 1; gamma must be < 512"
             )
-        gfac.flags.writeable = False
-        object.__setattr__(self, "_gamma_factor", gfac)
+        a = a.copy()  # copies, so a caller's later writes cannot reach the game
+        np.fill_diagonal(a, 1.0)
+        arrays = {
+            "attenuation": a,
+            "noise": noise.copy(),
+            "thresholds": thresholds.copy(),
+            "gamma_factor": gfac,
+            "A": np.eye(n) - gfac[:, np.newaxis] * (a.T - np.eye(n)),
+            "b": gfac * noise,
+        }
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "p_max", float(self.p_max))
 
     @property
     def n(self) -> int:
         return self.attenuation.shape[0]
-
-    @property
-    def gamma_factor(self) -> np.ndarray:
-        """Per-player factor 4**gamma_i - 1 appearing in all SE inequalities (read-only)."""
-        return self._gamma_factor
 
 
 def normalize(raw: RawChannel) -> tuple[np.ndarray, np.ndarray]:

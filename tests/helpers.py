@@ -86,6 +86,15 @@ def reference_min_satisfying_powers(game: GameSpec, p) -> np.ndarray:
     return game.gamma_factor * reference_interference(game, p)
 
 
+def reference_system(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The SE system A p >= b as separate expressions, the bits `GameSpec` must derive."""
+    gfac = game.gamma_factor
+    off = game.attenuation.T - np.eye(game.n)
+    A = np.eye(game.n) - gfac[:, np.newaxis] * off
+    b = gfac * game.noise
+    return A, b
+
+
 def perfbench_decks():
     """The benchmark's deck module, loaded from perfbench/decks.py by path (only read)."""
     spec = importlib.util.spec_from_file_location("perfbench_decks", ROOT / "perfbench" / "decks.py")

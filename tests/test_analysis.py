@@ -8,7 +8,6 @@ from segic import (
     InvalidInputError,
     NoEquilibriumError,
     analyze,
-    build_system,
     cost_ratios,
     enumerate_grid,
     ese_two_player,
@@ -38,34 +37,32 @@ def symmetric_game(n, a, gamma, noise, p_max=1.0):
 
 
 class TestBuildSystem:
+    """The SE system A p >= b each game derives at construction."""
+
     def test_reference_game(self, g0):
-        system = build_system(g0)
-        np.testing.assert_allclose(system.A, [[1.0, -0.5], [-0.5, 1.0]], atol=1e-15)
-        np.testing.assert_allclose(system.b, [0.1, 0.1], atol=1e-15)
-        assert system.p_max == 1.0
+        np.testing.assert_allclose(g0.A, [[1.0, -0.5], [-0.5, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(g0.b, [0.1, 0.1], atol=1e-15)
 
     def test_zero_threshold_limit(self, g0):
         game = GameSpec(
             attenuation=g0.attenuation, noise=g0.noise, thresholds=[0, 0], p_max=1.0
         )
-        system = build_system(game)
-        np.testing.assert_allclose(system.A, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(system.b, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(game.A, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(game.b, [0.0, 0.0], atol=1e-15)
 
     def test_three_player_symmetric(self):
-        system = build_system(symmetric_game(3, a=0.1, gamma=0.5, noise=0.1))
+        game = symmetric_game(3, a=0.1, gamma=0.5, noise=0.1)
         expected = np.eye(3) - 0.1 * (np.ones((3, 3)) - np.eye(3))
-        np.testing.assert_allclose(system.A, expected, atol=1e-15)
-        np.testing.assert_allclose(system.b, [0.1, 0.1, 0.1], atol=1e-15)
+        np.testing.assert_allclose(game.A, expected, atol=1e-15)
+        np.testing.assert_allclose(game.b, [0.1, 0.1, 0.1], atol=1e-15)
 
     def test_offdiagonals_nonpositive_b_positive(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             game = random_two_player(rng)
-            system = build_system(game)
-            off = system.A[~np.eye(2, dtype=bool)]
+            off = game.A[~np.eye(2, dtype=bool)]
             assert np.all(off <= 0.0)
-            assert np.all(system.b > 0.0)
+            assert np.all(game.b > 0.0)
 
 
 class TestExistsTwoPlayer:
@@ -235,7 +232,7 @@ class TestDynamics:
         p, iters, converged = satisfaction_response_dynamics(g0, [0.0, 0.0])
         assert type(iters) is int and converged
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_iterates_check_tol_when_called(self, g0, tol):
         with pytest.raises(ValueError, match="tol"):
             satisfaction_response_iterates(g0, [5.0, 5.0], tol=tol)

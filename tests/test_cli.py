@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segic import GameSpec, InvalidInputError, write_scenario
+from segic import GameSpec, InvalidInputError, cli, write_scenario
 from segic.cli import _fmt, build_parser, main
 from segic.model import min_satisfying_powers, satisfied_mask, utilities
 
@@ -237,6 +237,21 @@ class TestSweep:
         in_box = [r[4] for r in rows]
         assert in_box == ["0", "1", "1"]  # ESE component 0.2 vs caps 0.1, 0.2, 0.3
 
+    def test_each_swept_game_built_once(self, capsys, g0_scenario, tmp_path, monkeypatch):
+        built = []
+        apply_param = cli._apply_param
+
+        def counting(*args):
+            built.append(args)
+            return apply_param(*args)
+
+        monkeypatch.setattr(cli, "_apply_param", counting)
+        code, _, _ = run(
+            capsys, "sweep", g0_scenario, "--param", "a12",
+            "--from", "0", "--to", "2", "--steps", "5", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0 and len(built) == 5
+
     def test_unknown_parameter(self, capsys, g0_scenario, tmp_path):
         code, _, err = run(
             capsys, "sweep", g0_scenario, "--param", "bogus",
@@ -329,6 +344,7 @@ class TestDynamics:
         ["dynamics", "--tol", "0"],
         ["dynamics", "--tol=-1e-9"],
         ["dynamics", "--tol", "nan"],
+        ["dynamics", "--tol", "inf"],
     ],
     ids=" ".join,
 )

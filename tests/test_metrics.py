@@ -6,7 +6,6 @@ import pytest
 from segic import (
     GameSpec,
     NoEquilibriumError,
-    build_system,
     enumerate_grid,
     is_satisfaction_equilibrium,
     max_price_of_satisfaction,
@@ -45,7 +44,7 @@ class TestPriceOfEfficiency:
         # an ESE candidate has ese - SAT_TOL w <= p <= ese + (step + SAT_TOL) w
         # with w = A^-1 1; move one a further step * w above that
         scan = enumerate_grid(g0, 0.01)
-        w = np.linalg.solve(build_system(g0).A, np.ones(2))
+        w = np.linalg.solve(g0.A, np.ones(2))
         moved = scan.ese_candidates.copy()
         moved[0] = solve_ese(g0) + (2 * scan.grid_step + SAT_TOL) * w
         with pytest.raises(NoEquilibriumError, match="ESE candidate row 0"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,13 +11,20 @@ from segic import (
     cost_ratios,
     game_from_raw,
     interference,
+    is_satisfaction_equilibrium,
     min_satisfying_powers,
     normalize,
     satisfied_mask,
+    solve_ese,
     utilities,
 )
 
-from helpers import raw_utility, reference_interference, reference_min_satisfying_powers
+from helpers import (
+    raw_utility,
+    reference_interference,
+    reference_min_satisfying_powers,
+    reference_system,
+)
 
 
 class TestNormalize:
@@ -127,7 +136,55 @@ class TestInPlaceKernels:
         assert stack.tobytes() == before.tobytes()
 
 
+FROZEN = ("attenuation", "noise", "thresholds", "gamma_factor", "A", "b")
+
+
+class TestFrozenGame:
+    """GameSpec keeps read-only copies of its inputs and derives gamma_factor, A and b once."""
+
+    def test_caller_writes_do_not_reach_the_game(self, g0):
+        att = np.array([[1.0, 0.5], [0.5, 1.0]])
+        noise = np.array([0.1, 0.1])
+        th = np.array([0.5, 0.5])
+        game = GameSpec(attenuation=att, noise=noise, thresholds=th, p_max=1.0)
+        att[0, 1], noise[0], th[0] = 3.0, 5.0, 2.0
+        for name in FROZEN:
+            assert getattr(game, name).tobytes() == getattr(g0, name).tobytes(), name
+        ese = solve_ese(game)
+        assert ese.tobytes() == solve_ese(g0).tobytes()
+        assert is_satisfaction_equilibrium(game, ese)
+
+    @pytest.mark.parametrize("name", FROZEN)
+    def test_arrays_are_read_only(self, g0, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g0, name)[0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 100])
+    def test_system_bits_match_reference(self, n):
+        game = _random_game(np.random.default_rng(200 + n), n)
+        A, b = reference_system(game)
+        assert game.A.tobytes() == A.tobytes() and game.b.tobytes() == b.tobytes()
+        assert game.gamma_factor.tobytes() == (4.0 ** game.thresholds - 1.0).tobytes()
+
+    def test_replace_rederives_system(self, g0):
+        game = replace(g0, thresholds=[1.0, 0.0])
+        A, b = reference_system(game)
+        assert game.A.tobytes() == A.tobytes() and game.b.tobytes() == b.tobytes()
+        np.testing.assert_allclose(game.A, [[1.0, -1.5], [0.0, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(game.b, [0.3, 0.0], atol=1e-15)
+        np.testing.assert_allclose(g0.b, [0.1, 0.1], atol=1e-15)
+
+
 class TestGameSpecValidation:
+    def test_zero_players_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"at least one player.*\(0, 0\)"):
+            GameSpec(attenuation=np.zeros((0, 0)), noise=[], thresholds=[], p_max=1.0)
+
+    def test_zero_player_raw_channel_rejected(self):
+        raw = RawChannel(h=np.zeros((0, 0)), awgn=0.1)
+        with pytest.raises(InvalidInputError, match=r"at least one player.*\(0, 0\)"):
+            game_from_raw(raw, thresholds=[], p_max=1.0)
+
     def test_negative_attenuation_rejected(self):
         with pytest.raises(InvalidInputError, match="attenuation"):
             GameSpec(
