@@ -44,7 +44,7 @@ class NoEquilibriumError(RuntimeError):
         self.condition_product = condition_product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumReport:
     """Existence verdict and ESE diagnostics for one game."""
 

@@ -135,13 +135,22 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError(
             f"unknown parameter {args.param!r}; choose from {', '.join(_SWEEP_PARAMS)}"
         )
+    for flag, value in (("--from", args.start), ("--to", args.stop)):
+        if not np.isfinite(value):
+            raise InvalidInputError(f"{flag} = {value} must be finite")
+    if not np.isfinite(args.stop - args.start):
+        raise InvalidInputError("the span from --from to --to overflows a float")
     values = np.linspace(args.start, args.stop, args.steps)
-    # every swept game is built here, so an invalid one fails before the file is opened
-    games = [_apply_param(game, args.param, float(value)) for value in values]
+    # each validity rule on one swept field is an interval, so valid ends mean
+    # every value between them is valid: building the two end games first
+    # fails an invalid sweep before the file is opened, and memory stays flat
+    ends = {k: _apply_param(game, args.param, float(values[k]))
+            for k in sorted({0, args.steps - 1})}
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, "exists", "ese_1", "ese_2", "ese_in_box", "mposa"])
-        for value, swept in zip(values, games):
+        for k, value in enumerate(values):
+            swept = ends.pop(k) if k in ends else _apply_param(game, args.param, float(value))
             report = analysis.analyze(swept)
             row = [_fmt(value), int(report.exists)]
             if report.exists:

@@ -8,7 +8,6 @@ the objective g(p) = 1 / sum(p).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import SAT_TOL, GameSpec
 from .analysis import (
@@ -70,6 +69,10 @@ def max_price_of_satisfaction(game: GameSpec) -> tuple[float, np.ndarray]:
     full = np.full(game.n, game.p_max)
     if is_satisfaction_equilibrium(game, full):
         return (game.n * game.p_max / total if total > 0.0 else np.inf), full
+    # imported here, not at module level: scipy.optimize is most of a cold
+    # `import segic`, and only a game whose corner is not an SE needs the LP
+    from scipy.optimize import linprog
+
     res = linprog(
         c=-np.ones(game.n),
         A_ub=-game.A,

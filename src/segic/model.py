@@ -42,7 +42,7 @@ def _as_vector(values, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawChannel:
     """Unnormalized channel: raw gains h[j, i] > 0 and common AWGN power."""
 
@@ -65,7 +65,7 @@ class RawChannel:
         return self.h.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
     """Normalized GIC game in satisfaction form.
 
@@ -73,7 +73,9 @@ class GameSpec:
     receiver i (diagonal fixed to 1), noise[i] the normalized noise at
     receiver i, thresholds[i] the rate target gamma_i (bits/channel use,
     base-2 log), and p_max the common power cap. The game keeps its own
-    read-only copies of these arrays.
+    read-only copies of these arrays. Equality and hashing go by identity,
+    as for every segic type that holds arrays: a field-wise == would ask an
+    array for a single truth value.
     """
 
     attenuation: np.ndarray
@@ -83,9 +85,9 @@ class GameSpec:
     # derived once, read-only: the per-player factor 4**gamma_i - 1 of every
     # SE inequality and the SE system A p >= b (A_ij = -gfac_i * a[j, i] off
     # the unit diagonal, b_i = gfac_i * noise_i)
-    gamma_factor: np.ndarray = field(init=False, repr=False, compare=False)
-    A: np.ndarray = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma_factor: np.ndarray = field(init=False, repr=False)
+    A: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = _as_matrix(self.attenuation, "attenuation")

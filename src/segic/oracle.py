@@ -36,7 +36,7 @@ class ResourceLimitError(RuntimeError):
     """Grid enumeration would exceed the point budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Classified grid scan of the power box.
 
@@ -361,7 +361,7 @@ def _rows(ends: _Ends, m: int):
 
 
 def _contradicted(ends: _Ends, sat: np.ndarray, s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Slices whose band rows disagree with the predicted ends.
+    """Slices whose band rows disagree with the predicted ends, one entry per row.
 
     Two rows below kL player n must be unsatisfied and from kL + 1 up
     satisfied; up to kU - 2 the bounding players must all be satisfied and
@@ -373,4 +373,4 @@ def _contradicted(ends: _Ends, sat: np.ndarray, s: np.ndarray, k: np.ndarray) ->
     others = _all_columns(sat[:, :-1][:, ends.bounding])
     bad = ((k <= lo - 2) & own) | ((k >= lo + 1) & ~own)
     bad |= ((k <= hi - 2) & ~others) | ((k >= hi + 1) & others)
-    return np.unique(s[bad & ~ends.fallback[s]])
+    return s[bad & ~ends.fallback[s]]

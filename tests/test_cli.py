@@ -252,6 +252,22 @@ class TestSweep:
         )
         assert code == 0 and len(built) == 5
 
+    def test_memory_stays_flat(self, capsys, g0_scenario, tmp_path):
+        # every game is infeasible, so a row is cheap; kept for the whole
+        # sweep, 2000 games (about 1 kB each) would peak above 2 MB
+        tracemalloc.start()
+        try:
+            code, _, _ = run(
+                capsys, "sweep", g0_scenario, "--param", "gamma_1",
+                "--from", "10", "--to", "20", "--steps", "2000", "--out", str(tmp_path / "x.csv"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(read_csv(str(tmp_path / "x.csv"))) == 2001
+        assert peak < 1_000_000
+
     def test_unknown_parameter(self, capsys, g0_scenario, tmp_path):
         code, _, err = run(
             capsys, "sweep", g0_scenario, "--param", "bogus",
@@ -378,9 +394,13 @@ SWEEP = ["--from", "0", "--to", "1", "--steps", "2"]
          r"p_max = 0\.0 must be positive and finite"),
         (G0_DICT, ["sweep", "--param", "gamma_1", "--from", "0.5", "--to", "600", "--steps", "3"],
          r"thresholds\[0\] = 600\.0 overflows"),
+        (G0_DICT, ["sweep", "--param", "a12", "--from", "0", "--to", "inf", "--steps", "3"],
+         r"--to = inf must be finite"),
+        (G0_DICT, ["sweep", "--param", "a12", "--from=-1e308", "--to", "1e308", "--steps", "3"],
+         "the span from --from to --to overflows"),
     ],
     ids=["region-n4", "region-budget", "sweep-n3", "sweep-bogus", "sweep-p_max-zero",
-         "sweep-gamma-overflow"],
+         "sweep-gamma-overflow", "sweep-to-inf", "sweep-span-overflow"],
 )
 def test_unsupported_input_is_input_error(capsys, tmp_path, scenario, argv, message):
     out = tmp_path / "out.csv"

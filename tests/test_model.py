@@ -8,7 +8,9 @@ from segic import (
     GameSpec,
     InvalidInputError,
     RawChannel,
+    analyze,
     cost_ratios,
+    enumerate_grid,
     game_from_raw,
     interference,
     is_satisfaction_equilibrium,
@@ -159,6 +161,14 @@ class TestFrozenGame:
         with pytest.raises(ValueError, match="read-only"):
             getattr(g0, name)[0] = 1.0
 
+    def test_equality_and_hash_go_by_identity(self, g0):
+        twin = replace(g0)
+        assert g0 == g0 and g0 != twin
+        assert len({g0, twin, g0}) == 2
+        for name in FROZEN:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(twin, name)[0] = 1.0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 100])
     def test_system_bits_match_reference(self, n):
         game = _random_game(np.random.default_rng(200 + n), n)
@@ -173,6 +183,24 @@ class TestFrozenGame:
         np.testing.assert_allclose(game.A, [[1.0, -1.5], [0.0, 1.0]], atol=1e-15)
         np.testing.assert_allclose(game.b, [0.3, 0.0], atol=1e-15)
         np.testing.assert_allclose(g0.b, [0.1, 0.1], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda game: RawChannel(h=[[2.0, 1.0], [1.0, 4.0]], awgn=0.2),
+        analyze,
+        lambda game: enumerate_grid(game, 0.25),
+    ],
+    ids=["RawChannel", "EquilibriumReport", "OracleResult"],
+)
+def test_array_holders_compare_by_identity(g0, build):
+    # a generated field-wise == would ask an array for one truth value;
+    # GameSpec is checked in TestFrozenGame
+    one = build(g0)
+    twin = replace(one)
+    assert one == one and one != twin
+    assert len({one, twin}) == 2
 
 
 class TestGameSpecValidation:
