@@ -19,7 +19,6 @@ import numpy as np
 from .model import (
     SAT_TOL,
     GameSpec,
-    cost_ratios,
     min_satisfying_powers,
     satisfied_mask,
     utilities,
@@ -29,7 +28,6 @@ from .model import (
 
 POWER_TOL = 1e-12  # slack on the ESE's sign and box tests
 EFFICIENT_TOL = 1e-9  # power an efficient SE may have above its floor
-VALUED_RTOL = 1e-9  # relative slack of a valued SE's ratio over the one at its floor
 
 
 class DimensionError(ValueError):
@@ -208,17 +206,12 @@ def is_valued_se(game: GameSpec, p, grid_step: float) -> bool:
     """True iff p is an SE and each player's power minimizes p_i / u_i.
 
     Player i's satisfying powers are [floor_i, p_max], floor_i being its
-    minimal satisfying power. The ratio rises with own power, so its least
-    value there is the one at the floor (clamped to p_max), and p_i must
-    match it within VALUED_RTOL. grid_step must be positive and finite but
-    no longer changes the answer.
+    minimal satisfying power. With the others fixed, u_i is concave in p_i
+    with u_i(0) = 0, so the ratio rises strictly with p_i and is least at
+    the floor: the valued SE is the efficient SE, and this is
+    `is_efficient_se`. grid_step must be positive and finite but does not
+    change the answer.
     """
     if not 0.0 < grid_step < np.inf:
         raise ValueError(f"grid_step = {grid_step} must be positive and finite")
-    p = validate_profile(game, p)
-    if not np.all(satisfied_mask(game, p)):
-        return False
-    lo = np.minimum(min_satisfying_powers(game, p), game.p_max)
-    at_floor = np.where(np.eye(game.n, dtype=bool), lo, p)  # row i: p with p_i = lo_i
-    best = np.diagonal(cost_ratios(game, at_floor))
-    return not np.any(cost_ratios(game, p) > best + VALUED_RTOL * np.maximum(1.0, best))
+    return is_efficient_se(game, p)

@@ -11,13 +11,12 @@ m^(n-1) slices, places each interval's ends from those inequalities, and
 runs the per-point predicate `_classify` only on narrow bands of rows
 around them; the rows between the bands are SE points without a test. ESE
 and VSE candidates can only sit at the low end of an interval, below row
-kC of the lower band: above it, player n can step down one grid step, stay
-satisfied and lower its ratio, so the candidate tests run only there. A
-slice is classified by `_classify` on every row, candidate tests included,
-when rounding could blur its ends by a grid row, when that ratio drop is
-not safely above SAT_TOL, or when its bands disagree with the predicted
-ends. The result is the same, bit for bit, as classifying every grid
-point.
+kC of the lower band: above it, player n can step down one grid step and
+stay satisfied, so the candidate tests run only there. A slice is
+classified by `_classify` on every row, candidate tests included, when
+rounding could blur its ends by a grid row or when its bands disagree with
+the predicted ends. The result is the same, bit for bit, as classifying
+every grid point.
 """
 
 from __future__ import annotations
@@ -43,9 +42,12 @@ class OracleResult:
     se_points are all grid satisfaction equilibria (lexicographic order).
     ese_candidates are SE points with every player within one grid step of
     its minimal satisfying power; vse_candidates are SE points where no
-    single-player grid move to another satisfying power lowers that
-    player's power-to-rate ratio. g_best / g_worst extremize
-    g(p) = 1 / sum(p) over the SE set.
+    player can step one grid step down and stay in the box and satisfied.
+    With the others fixed, p_i / u_i rises strictly with p_i (u_i is
+    concave with u_i(0) = 0), so that is where no single-player grid move
+    lowers a player's power-to-rate ratio, and every VSE candidate is an
+    ESE candidate. g_best / g_worst extremize g(p) = 1 / sum(p) over the
+    SE set.
     """
 
     grid_step: float
@@ -121,22 +123,13 @@ def _classify(game: GameSpec, P: np.ndarray, grid_step: float, cand: np.ndarray)
     ese = np.zeros_like(se)
     vse = np.zeros_like(se)
     P = P[test]
-    inter = inter[test]
     floors = floors[test]
 
     ese[test] = _all_columns(P <= floors + grid_step + SAT_TOL)
-
-    # every player's one-step moves at once: entry (row, i) moves player i
-    ratio_here = _ratio(P, inter)
-    valued = np.ones(P.shape[0], dtype=bool)
-    for move in (-grid_step, grid_step):
-        q = P + move
-        ok = (q >= -SAT_TOL) & (q <= game.p_max + SAT_TOL)
-        ok &= q >= floors - SAT_TOL  # deviation must stay satisfying
-        better = np.zeros_like(ok)
-        better[ok] = _ratio(q[ok], inter[ok]) < ratio_here[ok] - SAT_TOL
-        valued &= _all_columns(~better)
-    vse[test] = valued
+    # the ratio rises with own power, so only a one-step-down move can lower
+    # it: a candidate's every such move leaves the box or is unsatisfying
+    q = P - grid_step
+    vse[test] = _all_columns((q < -SAT_TOL) | (q < floors - SAT_TOL))
     return sat, se, ese, vse
 
 
@@ -145,13 +138,6 @@ def _all_columns(mask: np.ndarray) -> np.ndarray:
     out = np.ones(mask.shape[0], dtype=bool)
     for column in mask.T:
         out &= column
-    return out
-
-
-def _ratio(p: np.ndarray, inter: np.ndarray) -> np.ndarray:
-    """Vectorized power-to-rate ratio with the p -> 0 limit filled in."""
-    u = 0.5 * np.log2(1.0 + p / inter)
-    out = np.where(p > 0.0, p / np.where(u > 0.0, u, 1.0), 2.0 * np.log(2.0) * inter)
     return out
 
 
@@ -314,27 +300,7 @@ def _slice_ends(game: GameSpec, axis: np.ndarray, prefix: np.ndarray, step: floa
     ok = below(kL - 2, lo - lo_err) & above(kL + 1, lo + lo_err)
     ok &= below(kU - 2, hi_lo) & above(kU + 1, hi_hi)
     ok &= np.isfinite(lo_err) & np.isfinite(cand) & ~np.isnan(hi_hi) & ~undecided
-    ok &= _ratio_falls(axis, step, p_max, base[:, last], slack * size[:, last], slack)
     return _Ends(kL, kU, kC, bounding, np.all(holds, axis=1), ~ok)
-
-
-def _ratio_falls(axis, step, p_max, inter, inter_err, slack) -> np.ndarray:
-    """Whether player n's -step move surely lowers its ratio above the lower band.
-
-    There p_n - step stays satisfying. The ratio p / u(p) is increasing and
-    concave in p, so one step down from any p <= p_max lowers it by at least
-    step times its slope at p_max. That fall must beat SAT_TOL plus the
-    rounding of the two ratios compared, which grows as p / inter -> 0.
-    """
-    inter_lo = inter - inter_err
-    inter_hi = inter + inter_err
-    t = np.maximum(p_max / inter_lo, 1e-3)  # below 1e-3 the slope is within 1e-3 of its max
-    slope = 2.0 * np.log(2.0) * (np.log1p(t) - t / (1.0 + t)) / np.log1p(t) ** 2
-    fall = (step - slack * p_max) * slope
-    p_least = np.min(axis[2:] - step, initial=step)  # least positive p compared
-    top = p_max / (0.5 * np.log2(1.0 + p_max / inter_hi))  # largest ratio compared
-    blur = slack * top * (1.0 + 1.0 / np.log1p(p_least / inter_hi))
-    return (inter_err <= 0.5 * inter) & (fall > SAT_TOL + 4.0 * blur)
 
 
 def _rows(ends: _Ends, m: int):

@@ -2,8 +2,11 @@
 
 The body below is the original point-by-point implementation of
 `enumerate_grid`: it classifies all m^n grid points in chunks and sorts
-the result. `test_oracle_identity.py` checks that the slice scan in
-`segic.oracle` returns the same arrays, bit for bit. Do not optimise it.
+the result. A VSE candidate is an SE point where no player's one-step-down
+move stays in the box and satisfying; with the others fixed, p_i / u_i
+rises strictly with p_i, so no other move can lower a player's ratio.
+`test_oracle_identity.py` checks that the slice scan in `segic.oracle`
+returns the same arrays, bit for bit. Do not optimise it.
 """
 
 from __future__ import annotations
@@ -58,25 +61,14 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
         if not np.any(se):
             continue
         P = P[se]
-        inter = inter[se]
         floors = floors[se]
         se_chunks.append(P)
 
         ese = np.all(P <= floors + grid_step + SAT_TOL, axis=1)
         ese_chunks.append(P[ese])
 
-        vse = np.ones(P.shape[0], dtype=bool)
-        for i in range(n):
-            ratio_here = _ratio(P[:, i], inter[:, i])
-            for move in (-grid_step, grid_step):
-                q = P[:, i] + move
-                ok = (q >= -SAT_TOL) & (q <= game.p_max + SAT_TOL)
-                ok &= q >= floors[:, i] - SAT_TOL  # deviation must stay satisfying
-                if not np.any(ok):
-                    continue
-                better = np.zeros_like(ok)
-                better[ok] = _ratio(q[ok], inter[ok, i]) < ratio_here[ok] - SAT_TOL
-                vse &= ~better
+        q = P - grid_step
+        vse = np.all((q < -SAT_TOL) | (q < floors - SAT_TOL), axis=1)
         vse_chunks.append(P[vse])
 
     se_points = _merge(se_chunks, n)
@@ -99,13 +91,6 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
         g_best=g_best,
         g_worst=g_worst,
     )
-
-
-def _ratio(p: np.ndarray, inter: np.ndarray) -> np.ndarray:
-    """Vectorized power-to-rate ratio with the p -> 0 limit filled in."""
-    u = 0.5 * np.log2(1.0 + p / inter)
-    out = np.where(p > 0.0, p / np.where(u > 0.0, u, 1.0), 2.0 * np.log(2.0) * inter)
-    return out
 
 
 def _merge(chunks: list[np.ndarray], n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 from itertools import islice
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ from segic import (
     solve_ese,
     utilities,
 )
-from segic.analysis import VALUED_RTOL, DimensionError
+from segic.analysis import DimensionError
 
 from helpers import random_two_player
 
@@ -288,17 +289,36 @@ class TestPredicates:
                 for p in profiles:
                     verdict = is_valued_se(game, p, step)
                     assert verdict == _scanned_valued_se(game, p, step)
+                    assert verdict == is_efficient_se(game, p)
                     verdicts.append(verdict)
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_ratio_monotone_in_own_power(self):
+        # the lemma behind is_valued_se and the oracle's VSE test, checked in
+        # 60-digit arithmetic on the games' own float data: with the others
+        # fixed, p_i / u_i rises strictly from its p_i -> 0 limit 2 ln2 * I_i
         rng = np.random.default_rng(14)
-        for _ in range(20):
-            game = random_two_player(rng)
-            p2 = rng.uniform(0.0, game.p_max)
-            powers = np.linspace(game.p_max / 100.0, game.p_max, 100)
-            ratios = [cost_ratios(game, [p1, p2])[0] for p1 in powers]
-            assert np.all(np.diff(ratios) > 0.0)
+        games = [GameSpec(attenuation=np.eye(2), noise=[1e20, 0.1],
+                          thresholds=[0.0, 0.5], p_max=10.0)]  # u_1 rounds to 0 below ~1e4
+        for n in (2, 3, 4) * 5:
+            a = 10.0 ** rng.uniform(-3, 1, (n, n))
+            np.fill_diagonal(a, 1.0)
+            gammas = rng.uniform(0.0, 2.0, n)
+            gammas[rng.random(n) < 0.3] = 0.0
+            games.append(GameSpec(attenuation=a, noise=10.0 ** rng.uniform(-3, 1, n),
+                                  thresholds=gammas, p_max=10.0))
+        powers = np.geomspace(1e-20, 10.0, 43)
+        with mpmath.workdps(60):
+            for game in games:
+                for i in range(game.n):
+                    others = rng.uniform(0.0, game.p_max, game.n)
+                    inter = mpmath.mpf(game.noise[i]) + mpmath.fsum(
+                        mpmath.mpf(game.attenuation[j, i]) * mpmath.mpf(others[j])
+                        for j in range(game.n) if j != i)
+                    ratios = [2 * mpmath.log(2) * inter]
+                    for p in map(mpmath.mpf, powers):
+                        ratios.append(p / (mpmath.log1p(p / inter) / (2 * mpmath.log(2))))
+                    assert all(lo < hi for lo, hi in zip(ratios, ratios[1:])), (game, i)
 
     def test_vectorized_ratios_match_cost_ratio(self):
         # is_valued_se, region and dynamics feed the model kernels stacks of
@@ -345,6 +365,9 @@ def _feasible_games(rng, n, count):
 def _scanned_valued_se(game, p, grid_step):
     # the per-player scan `is_valued_se` ran before it read the ratio at the
     # floor, with the ratio it used (inf where a tiny p_i > 0 rounds u_i to 0)
+    # and its relative slack over the least ratio
+    rtol = 1e-9
+
     def ratio(i, q):
         own = q[..., i]
         inter = interference(game, q)[..., i]
@@ -362,7 +385,7 @@ def _scanned_valued_se(game, p, grid_step):
         profiles = np.tile(p, (candidates.size, 1))
         profiles[:, i] = candidates
         best = float(np.min(ratio(i, profiles)))
-        if ratio(i, p) > best + VALUED_RTOL * max(1.0, best):
+        if ratio(i, p) > best + rtol * max(1.0, best):
             return False
     return True
 

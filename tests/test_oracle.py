@@ -53,6 +53,15 @@ class TestEnumerate:
             pts = getattr(result, name)
             assert all(tuple(p) in {tuple(q) for q in result.se_points} for p in pts)
 
+    def test_vse_candidate_at_zero_power(self):
+        # player 1's rate rounds to 0 at every positive grid power (noise
+        # 1e20), yet its ratio still rises with its power: (0, 0.1) is the
+        # only point where no player can step down and stay satisfied
+        game = GameSpec(attenuation=np.eye(2), noise=[1e20, 0.1],
+                        thresholds=[0.0, 0.5], p_max=10.0)
+        result = enumerate_grid(game, 0.05)
+        assert result.vse_candidates.tolist() == [[0.0, 0.1]]
+
     def test_lexicographic_order(self, g0):
         pts = enumerate_grid(g0, 0.05).se_points
         keys = [tuple(p) for p in pts]

@@ -35,6 +35,9 @@ def assert_identical(game, step):
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.flags.c_contiguous == b.flags.c_contiguous, field
         assert np.array_equal(a, b), field
+    # a VSE candidate cannot step down and stay satisfied, so it is an ESE candidate
+    ese = {tuple(row) for row in got.ese_candidates}
+    assert all(tuple(row) in ese for row in got.vse_candidates)
 
 
 def default_step(game):
@@ -99,12 +102,16 @@ def test_zero_cross_gains(g0):
     assert_identical(_g0_variant(g0, attenuation=np.eye(2)), 0.01)
     assert_identical(_g0_variant(g0, attenuation=[[1.0, 0.0], [0.5, 1.0]]), 0.01)
     assert_identical(_g0_variant(g0, attenuation=[[1.0, 0.5], [0.0, 1.0]]), 0.01)
+    # player 1's noise of 1e20 rounds its rate to 0 at every positive grid power
+    assert_identical(GameSpec(attenuation=np.eye(2), noise=[1e20, 0.1],
+                              thresholds=[0.0, 0.5], p_max=10.0), 0.05)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-10, 1e-12])
 def test_scaled_down_game(g0, scale):
     # powers and noise scaled down until SAT_TOL is a grid step and more:
-    # at 1e-10 and below one ratio step is smaller than SAT_TOL
+    # at 1e-10 one grid step is half SAT_TOL, and at 1e-12 SAT_TOL spans the
+    # whole box
     game = _g0_variant(g0, noise=g0.noise * scale, p_max=scale)
     assert_identical(game, game.p_max / 200.0)
 
@@ -112,8 +119,8 @@ def test_scaled_down_game(g0, scale):
 @pytest.mark.parametrize("step", [1.5e-12, 1.8e-12])
 def test_step_below_two_sat_tol(step):
     # ESE candidates reach p_n = floor + step + SAT_TOL, three rows above the
-    # floor when step < 2 * SAT_TOL, while one step still lowers the ratio by
-    # more than SAT_TOL (noise 10x the cap keeps the ratio's slope near ln 2)
+    # floor when step < 2 * SAT_TOL, while VSE candidates stay below
+    # floor + step - SAT_TOL, less than one row above it
     p_max = 200.0 * step
     game = GameSpec(attenuation=[[1.0, 0.5], [0.5, 1.0]], noise=[10.0 * p_max] * 2,
                     thresholds=[np.log(1.05) / np.log(4.0)] * 2, p_max=p_max)

@@ -2,8 +2,9 @@
 
 `enumerate_grid` runs the ESE and VSE tests only on rows below their
 slice's kC (or on every row of a fallback slice): above kC player n can
-step down, stay satisfied and lower its ratio. Here the tests run on every
-band row instead, and no candidate may turn up at or above kC. The
+step down one grid step and stay satisfied, so the point is neither an ESE
+nor a VSE candidate. Here the tests run on every band row instead, and no
+candidate may turn up at or above kC. The
 benchmark's verify_2p deck, loaded from perfbench/decks.py (only read),
 must give the exhaustive reference's arrays bit for bit.
 """
