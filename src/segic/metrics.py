@@ -29,9 +29,10 @@ def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
     The oracle's scan is checked against `solve_ese` instead. With A p >= b
     the game's SE system and w = A^-1 1 (>= 0, A being an M-matrix), the oracle's
     ESE-candidate test reads -SAT_TOL <= A p - b <= step + SAT_TOL, so a
-    candidate lies in [ese - SAT_TOL w, ese + (step + SAT_TOL) w]; every SE
-    point, so every VSE candidate and g_best, lies above the lower end. A
-    point outside by more than the oracle's floor rounding
+    candidate lies in [ese - SAT_TOL w, ese + (step + SAT_TOL) w], and so
+    does every VSE candidate, being an ESE candidate; every SE point, so
+    g_best, lies above the lower end. A point outside by more than the
+    oracle's floor rounding
     (`floor_error_bound`, carried through A^-1) raises NoEquilibriumError.
     """
     if oracle.is_empty:
@@ -41,11 +42,9 @@ def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
     w, slack = np.linalg.solve(game.A, bounds).T
     lower = ese - SAT_TOL * w - slack
     upper = ese + (oracle.grid_step + SAT_TOL) * w + slack
-    unbounded = np.full(game.n, np.inf)
     for name, points, top in (
         ("ESE candidate", oracle.ese_candidates, upper),
-        ("VSE candidate", oracle.vse_candidates, unbounded),
-        ("g_best", np.atleast_2d(oracle.g_best), unbounded),
+        ("g_best", np.atleast_2d(oracle.g_best), np.full(game.n, np.inf)),
     ):
         outside = np.flatnonzero(np.any((points < lower) | (points > top), axis=1))
         if outside.size:

@@ -17,11 +17,17 @@ classified by `_classify` on every row, candidate tests included, when
 rounding could blur its ends by a grid row or when its bands disagree with
 the predicted ends. The result is the same, bit for bit, as classifying
 every grid point.
+
+The SE points themselves are kept as those runs: each slice's SE rows are
+the lower band's SE rows, the interior run and the upper band's SE rows.
+The SE count and g_best / g_worst are read from the runs, and `se_points`
+is expanded from them only on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,19 +53,28 @@ class OracleResult:
     concave with u_i(0) = 0), so that is where no single-player grid move
     lowers a player's power-to-rate ratio, and every VSE candidate is an
     ESE candidate. g_best / g_worst extremize g(p) = 1 / sum(p) over the
-    SE set.
+    SE set, whose size is se_count.
+
+    The SE points are kept as the scan's per-slice runs; se_points expands
+    them on first access and keeps the array.
     """
 
     grid_step: float
-    se_points: np.ndarray
     ese_candidates: np.ndarray
     vse_candidates: np.ndarray
     g_best: np.ndarray | None
     g_worst: np.ndarray | None
+    se_count: int
+    _runs: tuple = field(repr=False)  # `_se_points`' arguments
 
     @property
     def is_empty(self) -> bool:
-        return self.se_points.shape[0] == 0
+        return self.se_count == 0
+
+    @cached_property
+    def se_points(self) -> np.ndarray:
+        """All grid SE points in lexicographic order, expanded on first access."""
+        return _se_points(*self._runs)
 
 
 def _axis(p_max: float, step: float) -> np.ndarray:
@@ -87,7 +102,8 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ends = _slice_ends(game, axis, prefix, grid_step)  # non-finite ends fall back
     while True:
-        runs, s, k = _rows(ends, m)
+        a1, b1, band, k = _rows(ends, m)
+        s = band >> 1
         P = _points(prefix, axis, s, k)
         cand = ends.fallback[s] | (k < ends.kC[s])  # rows that can hold a candidate
         sat, se, ese, vse = _classify(game, P, grid_step, cand)
@@ -96,15 +112,17 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
             break
         ends.fallback[wrong] = True
 
-    se_points, counts = _se_points(prefix, axis, runs, k, se)
-    g_best, g_worst = _extremes(se_points, counts)
+    band_se = np.bincount(band[se], minlength=2 * a1.size)  # SE rows of each band
+    k_se = k[se]
+    g_best, g_worst = _extremes(prefix, axis, a1, b1, band_se, k_se)
     return OracleResult(
         grid_step=float(grid_step),
-        se_points=se_points,
         ese_candidates=P[ese],
         vse_candidates=P[vse],
         g_best=g_best,
         g_worst=g_worst,
+        se_count=int(k_se.size + (b1 - a1).sum()),
+        _runs=(prefix, axis, a1, b1, band_se, k_se),
     )
 
 
@@ -125,11 +143,12 @@ def _classify(game: GameSpec, P: np.ndarray, grid_step: float, cand: np.ndarray)
     P = P[test]
     floors = floors[test]
 
-    ese[test] = _all_columns(P <= floors + grid_step + SAT_TOL)
+    ese_rows = ese[test] = _all_columns(P <= floors + grid_step + SAT_TOL)
     # the ratio rises with own power, so only a one-step-down move can lower
-    # it: a candidate's every such move leaves the box or is unsatisfying
+    # it: a candidate's every such move leaves the box or is unsatisfying,
+    # which also makes it an ESE candidate
     q = P - grid_step
-    vse[test] = _all_columns((q < -SAT_TOL) | (q < floors - SAT_TOL))
+    vse[test] = ese_rows & _all_columns((q < -SAT_TOL) | (q < floors - SAT_TOL))
     return sat, se, ese, vse
 
 
@@ -157,28 +176,25 @@ def _points(prefix: np.ndarray, axis: np.ndarray, s: np.ndarray, k: np.ndarray) 
     return P
 
 
-def _se_points(prefix: np.ndarray, axis: np.ndarray, runs: np.ndarray, k: np.ndarray,
-               se: np.ndarray):
-    """All SE points in lexicographic order, with each slice's count of them.
+def _se_points(prefix: np.ndarray, axis: np.ndarray, a1: np.ndarray, b1: np.ndarray,
+               band_se: np.ndarray, k_se: np.ndarray) -> np.ndarray:
+    """All SE points in lexicographic order, from the runs of each slice.
 
     Slice by slice they are the SE rows of the lower band, the interior run
-    [a1, b1) and the SE rows of the upper band. Each SE band row is a run of
-    one, so p_n comes from one ragged arange over the ordered runs.
+    [a1, b1) and the SE rows of the upper band; band_se counts the SE rows
+    of each band (lower and upper alternating) and k_se holds their p_n
+    indices in order. Each SE band row is a run of one, so p_n comes from
+    one ragged arange over the ordered runs.
     """
-    a0, a1, b1, c0, c1 = runs
-    lower, upper = a1 - a0, c1 - c0
-    seen = np.r_[0, np.cumsum(se)]  # SE rows among the band rows before each band row
-    stop = np.cumsum(lower + upper)  # band rows up to each slice's end
-    counts = seen[stop] - seen[stop - lower - upper] + (b1 - a1)
-    before = seen[stop - upper]  # SE band rows ahead of each slice's interior
-    k_se = k[se]
+    counts = band_se[0::2] + (b1 - a1) + band_se[1::2]
+    before = np.cumsum(band_se)[0::2]  # SE band rows ahead of each slice's interior
     kn = _ragged_arange(np.insert(k_se, before, a1),
                         np.insert(np.ones_like(k_se), before, b1 - a1))
     P = np.empty((kn.size, prefix.shape[1] + 1))
     for j in range(prefix.shape[1]):
         P[:, j] = np.repeat(prefix[:, j], counts)
     P[:, -1] = axis[kn]
-    return P, counts
+    return P
 
 
 def _ragged_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -188,22 +204,32 @@ def _ragged_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extremes(points: np.ndarray, counts: np.ndarray):
-    """The rows at the first argmin and the first argmax of points.sum(axis=1).
+def _extremes(prefix: np.ndarray, axis: np.ndarray, a1: np.ndarray, b1: np.ndarray,
+              band_se: np.ndarray, k_se: np.ndarray):
+    """The SE rows at the first argmin and the first argmax of their sums, from the runs.
 
-    `counts` holds the rows of each slice. Within a slice a row's sum cannot
-    fall as p_n grows, so the first least sum is the first row of some
-    slice, and the first greatest sum lies in the first slice whose last row
-    has the greatest sum; only those rows are summed.
+    The arguments are `_se_points`'. Within a slice a row's sum cannot fall
+    as p_n grows, so the first least sum is the first row of some slice,
+    and the first greatest sum lies in the first slice whose last row has
+    the greatest sum; only those rows, and that one slice, are built and
+    summed.
     """
-    counts = counts[counts > 0]
-    if not counts.size:
+    lower, upper = band_se[0::2], band_se[1::2]
+    inner = b1 > a1
+    live = np.flatnonzero(lower + upper + inner)  # slices holding an SE row
+    if not live.size:
         return None, None
-    last = np.cumsum(counts) - 1
-    first = last - counts + 1
-    g_best = points[first[int(np.argmin(points[first].sum(axis=1)))]]
-    top = int(np.argmax(points[last].sum(axis=1)))
-    block = points[first[top]:last[top] + 1]
+    through = np.cumsum(band_se)  # SE band rows up to the end of each band
+    k_pad = np.append(k_se, 0)  # a slice without SE band rows indexes k_se.size or -1: the pad
+    start = through[0::2] - lower  # each slice's first SE band row in k_se
+    first = np.where(inner & (lower == 0), a1, k_pad[start])[live]
+    last = np.where(inner & (upper == 0), b1 - 1, k_pad[through[1::2] - 1])[live]
+    heads = _points(prefix, axis, live, first)
+    g_best = heads[int(np.argmin(heads.sum(axis=1)))]
+    top = live[int(np.argmax(_points(prefix, axis, live, last).sum(axis=1)))]
+    one = slice(top, top + 1)
+    block = _se_points(prefix[one], axis, a1[one], b1[one], band_se[2 * top:2 * top + 2],
+                       k_se[start[top]:through[2 * top + 1]])
     return g_best, block[int(np.argmax(block.sum(axis=1)))]
 
 
@@ -311,8 +337,8 @@ def _rows(ends: _Ends, m: int):
     runs from two rows below kL to the end of the candidates (at least
     kL + 2), the upper band from kU - 2 to kU + 2, so both hold a row on
     each side of their end; a fallback slice is all lower band. Returns the
-    bounds (a0, a1, b1, c0, c1) and each band row's slice and p_n index,
-    slice by slice, lower band first.
+    interior's bounds a1, b1 and each band row's band and p_n index, slice
+    by slice, lower band first: slice s has bands 2s and 2s + 1.
     """
     kL, kU, fb = ends.kL, ends.kU, ends.fallback
     a0 = np.where(fb, 0, np.maximum(kL - 2, 0))
@@ -320,10 +346,10 @@ def _rows(ends: _Ends, m: int):
     c0 = np.maximum(kU - 2, a1)
     c1 = np.where(fb, m, np.maximum(np.minimum(kU + 2, m), c0))
     b1 = np.where(ends.interior & ~fb, c0, a1)
-    k = _ragged_arange(np.stack([a0, c0], axis=1).ravel(),
-                       np.stack([a1 - a0, c1 - c0], axis=1).ravel())
-    s = np.repeat(np.arange(kL.size), (a1 - a0) + (c1 - c0))
-    return np.stack([a0, a1, b1, c0, c1]), s, k
+    lens = np.stack([a1 - a0, c1 - c0], axis=1).ravel()
+    k = _ragged_arange(np.stack([a0, c0], axis=1).ravel(), lens)
+    band = np.repeat(np.arange(lens.size), lens)
+    return a1, b1, band, k
 
 
 def _contradicted(ends: _Ends, sat: np.ndarray, s: np.ndarray, k: np.ndarray) -> np.ndarray:

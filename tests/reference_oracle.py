@@ -4,17 +4,21 @@ The body below is the original point-by-point implementation of
 `enumerate_grid`: it classifies all m^n grid points in chunks and sorts
 the result. A VSE candidate is an SE point where no player's one-step-down
 move stays in the box and satisfying; with the others fixed, p_i / u_i
-rises strictly with p_i, so no other move can lower a player's ratio.
-`test_oracle_identity.py` checks that the slice scan in `segic.oracle`
-returns the same arrays, bit for bit. Do not optimise it.
+rises strictly with p_i, so no other move can lower a player's ratio, and
+such a point is an ESE candidate. `test_oracle_identity.py` checks that the
+slice scan in `segic.oracle` returns the same arrays, bit for bit. The
+result is a plain namespace of those arrays, so the reference shares no
+code with the scan's result type. Do not optimise it.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from segic.model import GameSpec, SAT_TOL
-from segic.oracle import MAX_GRID_POINTS, OracleResult, ResourceLimitError
+from segic.oracle import MAX_GRID_POINTS, ResourceLimitError
 
 _CHUNK = 1 << 20
 
@@ -28,7 +32,7 @@ def _axis(p_max: float, step: float) -> np.ndarray:
     return pts
 
 
-def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
+def enumerate_grid(game: GameSpec, grid_step: float) -> SimpleNamespace:
     """Scan the grid and classify SE / ESE-candidate / VSE-candidate points."""
     if grid_step <= 0.0:
         raise ValueError("grid_step must be > 0")
@@ -68,7 +72,7 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
         ese_chunks.append(P[ese])
 
         q = P - grid_step
-        vse = np.all((q < -SAT_TOL) | (q < floors - SAT_TOL), axis=1)
+        vse = ese & np.all((q < -SAT_TOL) | (q < floors - SAT_TOL), axis=1)
         vse_chunks.append(P[vse])
 
     se_points = _merge(se_chunks, n)
@@ -83,13 +87,14 @@ def enumerate_grid(game: GameSpec, grid_step: float) -> OracleResult:
         g_best = None
         g_worst = None
 
-    return OracleResult(
+    return SimpleNamespace(
         grid_step=float(grid_step),
         se_points=se_points,
         ese_candidates=ese_candidates,
         vse_candidates=vse_candidates,
         g_best=g_best,
         g_worst=g_worst,
+        is_empty=se_points.shape[0] == 0,
     )
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from segic import GameSpec, enumerate_grid, exists_two_player, solve_ese
+from segic import GameSpec, enumerate_grid, exists_two_player, price_of_efficiency, solve_ese
 from segic.model import satisfied_mask
 from segic.oracle import ResourceLimitError
 
@@ -66,6 +69,35 @@ class TestEnumerate:
         pts = enumerate_grid(g0, 0.05).se_points
         keys = [tuple(p) for p in pts]
         assert keys == sorted(keys)
+
+
+class TestLazySEPoints:
+    def test_scan_and_poe_leave_se_points_unbuilt(self, g0):
+        result = enumerate_grid(g0, 0.01)
+        assert price_of_efficiency(g0, result) == 1.0
+        assert not result.is_empty and result.se_count > 0
+        assert "se_points" not in vars(result)
+
+    def test_replace_expands_again(self, g0):
+        result = enumerate_grid(g0, 0.05)
+        points = result.se_points
+        assert result.se_points is points and points.shape[0] == result.se_count
+        twin = replace(result)
+        assert "se_points" not in vars(twin)
+        assert twin.se_points is not points
+        assert twin.se_points.tobytes() == points.tobytes()
+
+    def test_fine_scan_memory_stays_below_its_se_points(self, g0):
+        # 1001^2 = 1,002,001 grid points and 320,801 SE points, whose array
+        # alone takes 5.1 MB; the scan keeps only band rows and runs
+        tracemalloc.start()
+        try:
+            result = enumerate_grid(g0, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert result.se_count == 320_801
 
 
 class TestOracleAgreement:

@@ -3,7 +3,8 @@
 `reference_oracle.enumerate_grid` classifies every grid point; the
 production scan classifies only bands around each slice's interval ends.
 Every array of the result must match exactly: same values, same order,
-same shape, and None where the reference has None.
+same shape, and None where the reference has None. `se_points` is expanded
+from the scan's runs on access, and `se_count` must equal its length.
 """
 
 from pathlib import Path
@@ -35,6 +36,8 @@ def assert_identical(game, step):
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.flags.c_contiguous == b.flags.c_contiguous, field
         assert np.array_equal(a, b), field
+    assert got.se_count == want.se_points.shape[0]
+    assert got.is_empty == want.is_empty
     # a VSE candidate cannot step down and stay satisfied, so it is an ESE candidate
     ese = {tuple(row) for row in got.ese_candidates}
     assert all(tuple(row) in ese for row in got.vse_candidates)

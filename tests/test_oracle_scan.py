@@ -6,7 +6,9 @@ step down one grid step and stay satisfied, so the point is neither an ESE
 nor a VSE candidate. Here the tests run on every band row instead, and no
 candidate may turn up at or above kC. The
 benchmark's verify_2p deck, loaded from perfbench/decks.py (only read),
-must give the exhaustive reference's arrays bit for bit.
+must give the exhaustive reference's arrays bit for bit. g_best and
+g_worst, read from the slice runs, must be the rows that the first argmin
+and argmax of the expanded runs' sums pick, on runs of every shape.
 """
 
 import numpy as np
@@ -85,3 +87,45 @@ def test_verify_2p_deck_matches_reference():
     for op in deck:
         game = GameSpec(attenuation=op.a, noise=op.noise, thresholds=op.gammas, p_max=op.p_max)
         assert_identical(game, game.p_max / (200.0 if game.n == 2 else 40.0))
+
+
+def random_runs(rng, n):
+    """Runs of random shape over a small grid, in the layout `_se_points` reads.
+
+    Each slice gets a random interior [a1, b1) and random SE rows below and
+    above it, some slices none. Half the grids put p_n's rows next to
+    1e16, where a slice's consecutive row sums can round to one value.
+    """
+    axis = np.arange(6.0)
+    if rng.random() < 0.5:
+        axis = np.r_[axis, 1e16 + 2.0 * np.arange(4)]
+    m = axis.size
+    prefix = oracle._slices(axis, n - 1)
+    a1, b1, band_se, k_se = [], [], [], []
+    for _ in range(prefix.shape[0]):
+        lo, hi = np.sort(rng.integers(0, m + 1, 2))
+        if rng.random() < 0.3:
+            hi = lo  # no interior
+        below = np.flatnonzero(rng.random(lo) < 0.5)
+        above = hi + np.flatnonzero(rng.random(m - hi) < 0.5)
+        a1.append(lo)
+        b1.append(hi)
+        band_se += [below.size, above.size]
+        k_se += [*below, *above]
+    return (prefix, axis, np.array(a1), np.array(b1), np.array(band_se),
+            np.array(k_se, dtype=np.intp))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extremes_match_expanded_runs(n):
+    rng = np.random.default_rng(10 + n)
+    for _ in range(300):
+        runs = random_runs(rng, n)
+        g_best, g_worst = oracle._extremes(*runs)
+        points = oracle._se_points(*runs)
+        if points.shape[0] == 0:
+            assert g_best is None and g_worst is None
+            continue
+        sums = points.sum(axis=1)
+        assert g_best.tobytes() == points[int(np.argmin(sums))].tobytes()
+        assert g_worst.tobytes() == points[int(np.argmax(sums))].tobytes()
