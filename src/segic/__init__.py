@@ -14,9 +14,7 @@ from .model import (
 )
 from .analysis import (
     DimensionError,
-    EquilibriumReport,
     NoEquilibriumError,
-    analyze,
     ese_two_player,
     exists_two_player,
     is_efficient_se,
@@ -27,7 +25,12 @@ from .analysis import (
     solve_ese,
 )
 from .oracle import OracleResult, ResourceLimitError, enumerate_grid
-from .metrics import max_price_of_satisfaction, price_of_efficiency
+from .metrics import (
+    EquilibriumReport,
+    analyze,
+    max_price_of_satisfaction,
+    price_of_efficiency,
+)
 from .scenario import ScenarioError, load_scenario, write_scenario
 
 __version__ = "0.1.0"

@@ -1,16 +1,17 @@
-"""Satisfaction-equilibrium analysis of GIC power games.
+"""Satisfaction-equilibrium analysis of GIC power games: existence, the
+ESE, the satisfaction-response dynamics and the SE predicates.
 
 The SE region is the polyhedron A p >= b that every `GameSpec` carries,
 intersected with the power box; A has unit diagonal and nonpositive
 off-diagonals. Existence and the efficient satisfaction equilibrium (ESE)
 have closed forms for two players; for general N the equality system
 p_i = (4**gamma_i - 1) * (interference_i) yields the componentwise-least
-point of the quadrant region.
+point of the quadrant region. The per-game report, which also answers PoE
+and MPoSa, is `segic.metrics.analyze`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from numbers import Integral
 
@@ -21,7 +22,6 @@ from .model import (
     GameSpec,
     min_satisfying_powers,
     satisfied_mask,
-    utilities,
     validate_profile,
 )
 
@@ -40,17 +40,6 @@ class NoEquilibriumError(RuntimeError):
     def __init__(self, message: str, condition_product: float | None = None):
         super().__init__(message)
         self.condition_product = condition_product
-
-
-@dataclass(frozen=True, eq=False)
-class EquilibriumReport:
-    """Existence verdict and ESE diagnostics for one game."""
-
-    exists: bool
-    condition_product: float | None
-    ese: np.ndarray | None
-    ese_in_box: bool
-    tightness: np.ndarray | None
 
 
 def condition_product(game: GameSpec) -> float:
@@ -110,30 +99,6 @@ def solve_ese(game: GameSpec) -> np.ndarray:
 
 def ese_in_box(game: GameSpec, ese: np.ndarray) -> bool:
     return bool(np.all(ese <= game.p_max + POWER_TOL))
-
-
-def analyze(game: GameSpec) -> EquilibriumReport:
-    """Existence verdict plus ESE and its per-player tightness u_i - gamma_i."""
-    product = condition_product(game) if game.n == 2 else None
-    try:
-        ese = solve_ese(game)
-    except NoEquilibriumError:
-        return EquilibriumReport(
-            exists=False,
-            condition_product=product,
-            ese=None,
-            ese_in_box=False,
-            tightness=None,
-        )
-    in_box = ese_in_box(game, ese)
-    tightness = utilities(game, ese) - game.thresholds
-    return EquilibriumReport(
-        exists=True,
-        condition_product=product,
-        ese=ese,
-        ese_in_box=in_box,
-        tightness=tightness,
-    )
 
 
 def satisfaction_response_iterates(game: GameSpec, p0, tol: float = 1e-9):

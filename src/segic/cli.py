@@ -25,38 +25,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _default_poe_grid(game: GameSpec) -> float | None:
-    # keep the oracle scan below ~10^5 points for interactive use
-    if game.n <= 2:
-        return game.p_max / 200.0
-    if game.n == 3:
-        return game.p_max / 40.0
-    return None
-
-
 def cmd_analyze(args) -> int:
     game, _ = load_scenario(args.scenario)
-    report = analysis.analyze(game)
-    feasible = report.exists and report.ese_in_box
-
+    report = metrics.analyze(game)
+    mposa = report.mposa  # read first: MPoSa runs before PoE's oracle scan
     out = {
         "exists": report.exists,
         "condition_product": report.condition_product,
         "ese": None if report.ese is None else list(report.ese),
         "ese_in_box": report.ese_in_box,
         "tightness": None if report.tightness is None else list(report.tightness),
-        "poe": None,
-        "mposa": None,
+        "poe": report.poe,
+        "mposa": None if mposa is None else mposa[0],
     }
-    if feasible:
-        mposa, _ = metrics.max_price_of_satisfaction(game)
-        out["mposa"] = mposa
-        step = _default_poe_grid(game)
-        if step is not None:
-            scan = oracle.enumerate_grid(game, step)
-            if not scan.is_empty:
-                out["poe"] = metrics.price_of_efficiency(game, scan)
-
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
@@ -70,7 +51,7 @@ def cmd_analyze(args) -> int:
             else:
                 text = _fmt(val)
             print(f"{key}: {text}")
-    return 0 if feasible else 2
+    return 0 if report.exists and report.ese_in_box else 2
 
 
 def cmd_region(args) -> int:
@@ -151,15 +132,11 @@ def cmd_sweep(args) -> int:
         writer.writerow([args.param, "exists", "ese_1", "ese_2", "ese_in_box", "mposa"])
         for k, value in enumerate(values):
             swept = ends.pop(k) if k in ends else _apply_param(game, args.param, float(value))
-            report = analysis.analyze(swept)
+            report = metrics.analyze(swept)
             row = [_fmt(value), int(report.exists)]
             if report.exists:
-                row += [_fmt(report.ese[0]), _fmt(report.ese[1]), int(report.ese_in_box)]
-                if report.ese_in_box:
-                    mposa, _ = metrics.max_price_of_satisfaction(swept)
-                    row.append(_fmt(mposa))
-                else:
-                    row.append("")
+                mposa = "" if report.mposa is None else _fmt(report.mposa[0])
+                row += [_fmt(report.ese[0]), _fmt(report.ese[1]), int(report.ese_in_box), mposa]
             else:
                 row += ["", "", "", ""]
             writer.writerow(row)

@@ -1,22 +1,34 @@
-"""Efficiency measures for satisfaction equilibria: PoE and MPoSa.
+"""Efficiency measures for satisfaction equilibria, and the per-game report.
 
 PoE compares the worst efficient SE with the best valued SE under the
 summed power-to-rate ratio; MPoSa compares the best and worst SE under
 the objective g(p) = 1 / sum(p).
+
+`analyze` answers one game in an `EquilibriumReport`, which computes MPoSa
+and PoE on first access and keeps them; a caller that reads neither pays
+for neither. `mposa` is `max_price_of_satisfaction`'s (value, worst), or
+None unless the ESE exists inside the box. `poe` is None there too, and
+for n >= 4; otherwise it is PoE on an oracle scan at step p_max/200
+(n <= 2) or p_max/40 (n = 3), below about 10^5 points, or None when that
+scan finds no grid SE (a region thinner than a step). `poe` runs no LP.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
-from .model import SAT_TOL, GameSpec
+from .model import SAT_TOL, GameSpec, utilities
 from .analysis import (
     NoEquilibriumError,
+    condition_product,
     ese_in_box,
     is_satisfaction_equilibrium,
     solve_ese,
 )
-from .oracle import OracleResult, floor_error_bound
+from .oracle import OracleResult, enumerate_grid, floor_error_bound
 
 
 def price_of_efficiency(game: GameSpec, oracle: OracleResult) -> float:
@@ -83,3 +95,44 @@ def max_price_of_satisfaction(game: GameSpec) -> tuple[float, np.ndarray]:
         raise NoEquilibriumError("no satisfaction equilibrium inside the power box")
     worst = np.asarray(res.x, dtype=float)
     return (float(worst.sum()) / total if total > 0.0 else np.inf), worst
+
+
+@dataclass(frozen=True, eq=False)
+class EquilibriumReport:
+    """Existence verdict and ESE diagnostics for one game; PoE and MPoSa on demand."""
+
+    exists: bool
+    condition_product: float | None
+    ese: np.ndarray | None
+    ese_in_box: bool
+    tightness: np.ndarray | None
+    game: GameSpec = field(repr=False)
+
+    @cached_property
+    def mposa(self) -> tuple[float, np.ndarray] | None:
+        """`max_price_of_satisfaction`'s (value, worst) if the ESE is in the box."""
+        if not (self.exists and self.ese_in_box):
+            return None
+        return max_price_of_satisfaction(self.game)
+
+    @cached_property
+    def poe(self) -> float | None:
+        """PoE on the default oracle scan (n <= 3) if the ESE is in the box."""
+        game = self.game
+        if not (self.exists and self.ese_in_box) or game.n > 3:
+            return None
+        scan = enumerate_grid(game, game.p_max / (200.0 if game.n <= 2 else 40.0))
+        return None if scan.is_empty else price_of_efficiency(game, scan)
+
+
+def analyze(game: GameSpec) -> EquilibriumReport:
+    """Existence verdict plus ESE and its per-player tightness u_i - gamma_i."""
+    product = condition_product(game) if game.n == 2 else None
+    try:
+        ese = solve_ese(game)
+    except NoEquilibriumError:
+        return EquilibriumReport(exists=False, condition_product=product, ese=None,
+                                 ese_in_box=False, tightness=None, game=game)
+    return EquilibriumReport(exists=True, condition_product=product, ese=ese,
+                             ese_in_box=ese_in_box(game, ese),
+                             tightness=utilities(game, ese) - game.thresholds, game=game)

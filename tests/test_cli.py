@@ -60,6 +60,22 @@ class TestAnalyze:
         assert data["exists"] is False
         assert data["ese"] is None
 
+    def test_four_players_mposa_without_poe(self, capsys, tmp_path):
+        # no grid is scanned for n >= 4: ESE 1/7 per player, corner (1, 1, 1, 1)
+        a = np.full((4, 4), 0.1)
+        np.fill_diagonal(a, 1.0)
+        path = write(tmp_path, dict(G0_DICT, n=4, a=a.tolist(), noise=[0.1] * 4,
+                                    gammas=[0.5] * 4))
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert lines["ese_in_box"] == "true"
+        assert lines["poe"] == "null"
+        assert math.isfinite(float(lines["mposa"]))
+        assert float(lines["mposa"]) == pytest.approx(7.0, rel=1e-12)
+        code, out, _ = run(capsys, "analyze", path, "--json")
+        assert code == 0 and json.loads(out)["poe"] is None
+
     def test_malformed_exit_code(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

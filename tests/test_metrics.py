@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ import pytest
 from segic import (
     GameSpec,
     NoEquilibriumError,
+    analyze,
     enumerate_grid,
     is_satisfaction_equilibrium,
+    load_scenario,
     max_price_of_satisfaction,
+    metrics,
     price_of_efficiency,
     solve_ese,
 )
+from segic.cli import main
 from segic.model import SAT_TOL
 
 from helpers import draw_feasible_in_box
@@ -117,3 +122,99 @@ class TestMaxPriceOfSatisfaction:
         )
         with pytest.raises(NoEquilibriumError):
             max_price_of_satisfaction(game)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _scenario(name):
+    return load_scenario(SCENARIOS / f"{name}.json")[0]
+
+
+def _g0(**changes):
+    base = dict(attenuation=[[1.0, 0.5], [0.5, 1.0]], noise=[0.1, 0.1],
+                thresholds=[0.5, 0.5], p_max=1.0)
+    return GameSpec(**dict(base, **changes))
+
+
+def _symmetric(n, coupling, gamma):
+    a = np.full((n, n), coupling)
+    np.fill_diagonal(a, 1.0)
+    return GameSpec(attenuation=a, noise=[0.1] * n, thresholds=[gamma] * n, p_max=1.0)
+
+
+# (game, whether its ESE exists inside the box)
+REPORT_GAMES = {
+    "g0": (lambda: _scenario("g0"), True),
+    "g0_infeasible": (lambda: _scenario("g0_infeasible"), False),
+    "g0_raw": (lambda: _scenario("g0_raw"), True),
+    "three_player": (lambda: _scenario("three_player"), True),
+    "ese_out_of_box": (lambda: _g0(p_max=0.1), False),
+    "three_player_infeasible": (lambda: _symmetric(3, 0.5, 2.0), False),
+    "four_player": (lambda: _symmetric(4, 0.1, 0.5), True),
+}
+
+# ROADMAP item 7's thin game: its SE region in the box is thinner than p_max/200
+THIN = dict(attenuation=[[1.0, 0.088], [1.44, 1.0]], noise=[0.0128, 0.0128],
+            thresholds=[0.0136, 4.03], p_max=10.0)
+
+
+class TestEquilibriumReport:
+    def test_answers_wait_for_first_access(self, g0):
+        report = analyze(g0)
+        assert "mposa" not in vars(report) and "poe" not in vars(report)
+        assert report.mposa is report.mposa and "mposa" in vars(report)
+
+    def test_poe_runs_no_mposa(self, g0, monkeypatch):
+        def fail(game):
+            raise AssertionError("PoE ran MPoSa")
+
+        monkeypatch.setattr(metrics, "max_price_of_satisfaction", fail)
+        report = analyze(g0)
+        assert report.poe == 1.0
+        assert "mposa" not in vars(report)
+
+    @pytest.mark.parametrize("name", REPORT_GAMES)
+    def test_answers_equal_the_stages(self, name):
+        build, feasible = REPORT_GAMES[name]
+        game = build()
+        report = analyze(game)
+        assert (report.exists and report.ese_in_box) is feasible
+        if not feasible:
+            assert report.mposa is None and report.poe is None
+            with pytest.raises(NoEquilibriumError):
+                max_price_of_satisfaction(game)
+            return
+        value, worst = max_price_of_satisfaction(game)
+        assert report.mposa[0].hex() == value.hex()
+        assert report.mposa[1].tobytes() == worst.tobytes()
+        if game.n >= 4:
+            assert report.poe is None
+            return
+        scan = enumerate_grid(game, game.p_max / (200.0 if game.n <= 2 else 40.0))
+        assert not scan.is_empty
+        assert report.poe == price_of_efficiency(game, scan)
+
+    def test_thin_region_gives_no_poe(self):
+        game = GameSpec(**THIN)
+        report = analyze(game)
+        assert report.exists and report.ese_in_box
+        assert enumerate_grid(game, game.p_max / 200.0).is_empty
+        assert report.poe is None
+        assert report.mposa is not None
+
+    def test_sweep_never_scans(self, monkeypatch, tmp_path, capsys):
+        argv = ["sweep", str(SCENARIOS / "g0.json"), "--param", "p_max",
+                "--from", "0.1", "--to", "2", "--steps", "21"]
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        assert main([*argv, "--out", str(before)]) == 0
+
+        def fail(game, step):
+            raise AssertionError("sweep scanned the grid")
+
+        monkeypatch.setattr(metrics, "enumerate_grid", fail)
+        assert main([*argv, "--out", str(after)]) == 0
+        assert after.read_bytes() == before.read_bytes()
+        # the range holds games with the ESE in the box and outside it
+        rows = before.read_text().splitlines()[1:]
+        assert {row.split(",")[4] for row in rows} == {"0", "1"}

@@ -45,3 +45,10 @@ def test_poe(results):
 
 def test_valued_se(results):
     assert results["segic.is_valued_se(game, [0.2, 0.2], 0.01)"] is True
+
+
+def test_report_answers(results):
+    mposa, worst = results["report.mposa"]
+    assert mposa == pytest.approx(5.0, rel=1e-12)
+    np.testing.assert_array_equal(worst, [1.0, 1.0])
+    assert results["report.poe"] == 1.0
